@@ -1,11 +1,20 @@
-//! Committed golden sink bytes for single-cluster runs.
+//! Committed golden bytes for what the simulator emits.
 //!
-//! The fixtures under `tests/goldens/` were generated before the
-//! multi-cluster `System` layer landed; every single-cluster job here must
-//! keep producing byte-identical JSON-lines and CSV output forever — the
-//! configuration fingerprint, the stats counters and the serialized field
-//! order are all load-bearing. Regenerate (only for a deliberate,
-//! documented format change) with:
+//! Three fixture families under `tests/goldens/` pin the output across
+//! commits:
+//!
+//! * `single_cluster.{jsonl,csv}` — the result sinks of a fixed batch
+//!   (generated before the multi-cluster `System` layer landed). The
+//!   configuration fingerprint, the stats counters and the serialized field
+//!   order are all load-bearing.
+//! * `pi_lcg_par_copift_2core.trace.txt` — the text trace of a 2-hart run
+//!   (both harts, barrier, TCDM-conflict and FPU stalls): event shapes,
+//!   stamps and emission order.
+//! * `pi_lcg_copift.folded` — the collapsed flamegraph of a profiled
+//!   single-core run: per-pc issue and stall charges.
+//!
+//! Every run here must keep producing these bytes exactly. Regenerate (only
+//! for a deliberate, documented format change) with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test -p snitch-engine --test golden_sink
@@ -15,7 +24,9 @@ use std::path::PathBuf;
 
 use snitch_engine::{sink, Engine, JobSpec};
 use snitch_kernels::registry::{Kernel, Variant};
+use snitch_profile::{flame, RegionMap};
 use snitch_sim::config::ClusterConfig;
+use snitch_trace::text;
 
 /// A fixed batch covering the serialization surface: default configs, a
 /// config-ablated job (distinct fingerprint), and a multi-core job.
@@ -33,32 +44,52 @@ fn batch() -> Vec<JobSpec> {
     ]
 }
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
+/// Compares `actual` against the committed fixture `name`, or rewrites the
+/// fixture when `UPDATE_GOLDENS` is set.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name);
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("committed golden tests/goldens/{name}: {e}"));
+    assert!(actual == want, "output diverged from the committed golden tests/goldens/{name}");
 }
 
 #[test]
 fn single_cluster_sink_bytes_match_committed_goldens() {
     let records = Engine::new(2).run(&batch());
     assert!(records.iter().all(|r| r.ok), "every golden job validates");
-    let jsonl = sink::to_jsonl(&records);
-    let csv = sink::to_csv(&records);
+    check_golden("single_cluster.jsonl", &sink::to_jsonl(&records));
+    check_golden("single_cluster.csv", &sink::to_csv(&records));
+}
 
-    let dir = golden_dir();
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("single_cluster.jsonl"), &jsonl).unwrap();
-        std::fs::write(dir.join("single_cluster.csv"), &csv).unwrap();
-        return;
-    }
+/// The 2-hart text trace: both harts' issue, stall and retire events plus
+/// the cluster-level barrier, SSR and bank-conflict events.
+#[test]
+fn two_core_text_trace_matches_committed_golden() {
+    let job = JobSpec::new(Kernel::PiLcgPar, Variant::Copift, 128, 32)
+        .with_config(ClusterConfig { cores: 2, ..ClusterConfig::default() })
+        .traced();
+    let records = Engine::new(1).run(&[job]);
+    let record = &records[0];
+    assert!(record.ok, "{:?}", record.error);
+    let events = record.trace.as_deref().expect("traced job carries events");
+    check_golden("pi_lcg_par_copift_2core.trace.txt", &text::render(events));
+}
 
-    let want_jsonl = std::fs::read_to_string(dir.join("single_cluster.jsonl"))
-        .expect("committed golden tests/goldens/single_cluster.jsonl");
-    let want_csv = std::fs::read_to_string(dir.join("single_cluster.csv"))
-        .expect("committed golden tests/goldens/single_cluster.csv");
-    assert_eq!(
-        jsonl, want_jsonl,
-        "single-cluster JSON-lines output diverged from the pre-System goldens"
-    );
-    assert_eq!(csv, want_csv, "single-cluster CSV output diverged from the pre-System goldens");
+/// The collapsed flamegraph of a profiled single-core run (block bursts
+/// engaged, so this pins the burst path's per-pc charges).
+#[test]
+fn flamegraph_matches_committed_golden() {
+    let (n, block) = Kernel::PiLcg.smoke_point();
+    let job = JobSpec::new(Kernel::PiLcg, Variant::Copift, n, block).profiled();
+    let records = Engine::new(1).run(&[job]);
+    let record = &records[0];
+    assert!(record.ok, "{:?}", record.error);
+    let profile = record.profile.as_ref().expect("profiled job carries a profile");
+    let program = Kernel::PiLcg.build_for(Variant::Copift, n, block, 1);
+    check_golden("pi_lcg_copift.folded", &flame::render(profile, &RegionMap::new(&program)));
 }
