@@ -4,16 +4,20 @@
 //! Runs the fixed smoke batch (every built-in kernel, both variants, small
 //! sizes) on worker pools of 1, 4 and 8 and reports *simulated cycles per
 //! host-second* per pool — the numbers that track the simulator's hot-path
-//! performance across PRs. Writes one JSON line per pool size to
-//! `BENCH_sim.json` in the current directory.
+//! performance across PRs. Engine pools are clamped to the host's
+//! parallelism, so each line records the *effective* worker count, and a
+//! pool that clamps to an already-measured size is not measured twice.
+//! Writes one JSON line per pool to `BENCH_sim.json` in the current
+//! directory.
 //!
 //! Three guards gate the CI smoke step:
 //!
 //! * **Throughput-regression guard**: the single-worker cycles/s must not
 //!   drop more than 20% below the committed `BENCH_sim.json` baseline (the
 //!   workers-1 line of the file in the current directory, read before it is
-//!   overwritten). Wall-clock noise is damped by re-measuring; a real
-//!   hot-loop regression is systematic and fails every attempt.
+//!   overwritten). The comparison is refused when that line measured a
+//!   different workload (another job count or simulated-cycle total).
+//!   Wall-clock noise is damped by taking the fastest of several passes.
 //! * **Tracing overhead guard**: re-running the batch with the trace hook
 //!   compiled in and *attached but disabled* (a paused `Tracer`, the worst
 //!   case for the hook's branches) must stay within 2% of the untraced
@@ -23,15 +27,19 @@
 //! * **Profiling overhead guard**: the same contract for the cycle-profiler
 //!   hook (a paused `Profiler` attached): within 2% of the bare path and
 //!   cycle-identical.
+//!
+//! Both overhead guards use the shared min-of-N interleaved recipe in
+//! [`snitch_telemetry::guard`].
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use snitch_asm::program::Program;
 use snitch_engine::{job, Engine};
 use snitch_profile::Profiler;
 use snitch_sim::cluster::Cluster;
 use snitch_sim::config::ClusterConfig;
+use snitch_telemetry::guard;
 use snitch_trace::Tracer;
 
 /// The observation hook a guard pass attaches (always paused — the
@@ -48,14 +56,10 @@ enum Hook {
 /// a too-short window would gate CI on scheduler noise rather than on the
 /// hook's cost.
 const GUARD_PASSES: usize = 8;
-/// Interleaved measurement repeats per path.
-const GUARD_REPEATS: usize = 5;
-/// Allowed disabled-hook slowdown relative to the untraced path.
-const GUARD_TOLERANCE: f64 = 1.02;
 
 /// One timed pass over the pre-built batch: reset, (optionally) attach a
-/// paused hook, load, run. Returns (wall seconds, total simulated cycles).
-fn guard_pass(programs: &[Program], hook: Hook) -> (f64, u64) {
+/// paused hook, load, run. Returns (wall time, total simulated cycles).
+fn guard_pass(programs: &[Program], hook: Hook) -> (Duration, u64) {
     let mut cluster = Cluster::new(ClusterConfig::default());
     let mut cycles = 0u64;
     let t0 = Instant::now();
@@ -72,40 +76,12 @@ fn guard_pass(programs: &[Program], hook: Hook) -> (f64, u64) {
             cycles += std::hint::black_box(stats.cycles);
         }
     }
-    (t0.elapsed().as_secs_f64(), cycles)
-}
-
-/// Re-measurement attempts before the guard fails: wall-clock noise on a
-/// shared/oversubscribed host can exceed the tolerance in either direction,
-/// while a real hook regression (an allocation, event construction on the
-/// cold branch) is systematic and fails every attempt.
-const GUARD_ATTEMPTS: usize = 3;
-
-/// One guard attempt: minimum wall time per path over [`GUARD_REPEATS`]
-/// interleaved measurements, alternating which path runs first so drift
-/// (frequency ramp, cache warm-up) hits both equally. Returns
-/// `(bare, disabled)` seconds.
-fn guard_attempt(programs: &[Program], hook: Hook) -> (f64, f64) {
-    let mut bare = f64::INFINITY;
-    let mut disabled = f64::INFINITY;
-    for rep in 0..GUARD_REPEATS {
-        let order = if rep % 2 == 0 { [Hook::None, hook] } else { [hook, Hook::None] };
-        for h in order {
-            let (t, _) = guard_pass(programs, h);
-            if h == Hook::None {
-                bare = bare.min(t);
-            } else {
-                disabled = disabled.min(t);
-            }
-        }
-    }
-    (bare, disabled)
+    (t0.elapsed(), cycles)
 }
 
 /// The hook overhead guard: wall time with a paused hook attached must stay
-/// within [`GUARD_TOLERANCE`] of the bare path on at least one of
-/// [`GUARD_ATTEMPTS`] measurement rounds. `what` names the hook in the
-/// guard's output ("tracing" / "profiling").
+/// within [`guard::TOLERANCE`] of the bare path. `what` names the hook in
+/// the guard's output ("tracing" / "profiling").
 fn hook_overhead_guard(programs: &[Program], hook: Hook, what: &str) {
     // Simulation equality is exact and checked once, outside the timing.
     assert_eq!(
@@ -113,49 +89,44 @@ fn hook_overhead_guard(programs: &[Program], hook: Hook, what: &str) {
         guard_pass(programs, hook).1,
         "a paused {what} hook must not perturb the simulation by a single cycle"
     );
-    let mut last = (0.0, 0.0);
-    for attempt in 1..=GUARD_ATTEMPTS {
-        let (bare, disabled) = guard_attempt(programs, hook);
-        last = (bare, disabled);
-        let ratio = disabled / bare;
-        if ratio <= GUARD_TOLERANCE {
-            eprintln!(
-                "bench_sim: {what} overhead guard ok — disabled hook {:+.2}% vs bare \
-                 ({disabled:.4}s vs {bare:.4}s over {GUARD_PASSES} passes, \
-                 min of {GUARD_REPEATS}, attempt {attempt}/{GUARD_ATTEMPTS})",
-                (ratio - 1.0) * 100.0,
-            );
-            return;
-        }
-        eprintln!(
-            "bench_sim: {what} overhead guard attempt {attempt}/{GUARD_ATTEMPTS}: disabled \
-             hook {:+.2}% vs bare — re-measuring",
-            (ratio - 1.0) * 100.0,
-        );
+    let time = |h| guard_pass(programs, h).0;
+    match guard::overhead_guard(|| time(Hook::None), || time(hook)) {
+        Ok(m) => eprintln!(
+            "bench_sim: {what} overhead guard ok — disabled hook {:+.2}% vs bare \
+             ({:.4}s vs {:.4}s over {GUARD_PASSES} passes, min of {}, attempt {}/{})",
+            m.overhead_pct(),
+            m.hooked.as_secs_f64(),
+            m.bare.as_secs_f64(),
+            guard::REPEATS,
+            m.attempt,
+            guard::ATTEMPTS,
+        ),
+        Err(m) => panic!(
+            "{what}-disabled path is consistently more than {:.0}% slower than the bare path \
+             ({:.4}s vs {:.4}s on the final attempt): the {what} hook must stay a no-op \
+             branch with no allocation",
+            (guard::TOLERANCE - 1.0) * 100.0,
+            m.hooked.as_secs_f64(),
+            m.bare.as_secs_f64(),
+        ),
     }
-    panic!(
-        "{what}-disabled path is consistently more than {:.0}% slower than the bare path \
-         ({:.4}s vs {:.4}s on the final attempt): the {what} hook must stay a no-op \
-         branch with no allocation",
-        (GUARD_TOLERANCE - 1.0) * 100.0,
-        last.1,
-        last.0,
-    );
 }
 
-/// Worker-pool sizes measured and recorded per run. The single-worker entry
-/// is the per-core number the regression guard compares across commits; the
+/// Worker-pool sizes requested per run. The single-worker entry is the
+/// per-core number the regression guard compares across commits; the
 /// multi-worker entries track scaling of the engine's pool.
 const WORKER_POOLS: [usize; 3] = [1, 4, 8];
 
 /// Allowed single-worker slowdown relative to the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.80;
 
-/// Re-measurement attempts before the regression guard fails.
+/// Timed passes per pool; each pool records its fastest.
 const REGRESSION_ATTEMPTS: usize = 3;
 
 /// One measured result line for a worker-pool size.
 struct Measurement {
+    /// The engine's effective worker count (the request clamped to the
+    /// host's parallelism).
     workers: usize,
     jobs: usize,
     instructions: u64,
@@ -194,15 +165,15 @@ impl Measurement {
     }
 }
 
-/// Times one engine pass over the warm smoke batch with `workers` workers.
-fn measure(engine: &Engine, jobs: &[snitch_engine::JobSpec], workers: usize) -> Measurement {
+/// Times one engine pass over the warm smoke batch.
+fn measure(engine: &Engine, jobs: &[snitch_engine::JobSpec]) -> Measurement {
     let t0 = Instant::now();
     let records = engine.run(jobs);
     let wall = t0.elapsed().as_secs_f64();
     let failed = records.iter().filter(|r| !r.ok).count();
     assert_eq!(failed, 0, "smoke batch must validate before its timing means anything");
     Measurement {
-        workers,
+        workers: engine.workers(),
         jobs: records.len(),
         instructions: records.iter().map(|r| r.instructions).sum(),
         cycles: records.iter().map(|r| r.cycles).sum(),
@@ -210,20 +181,72 @@ fn measure(engine: &Engine, jobs: &[snitch_engine::JobSpec], workers: usize) -> 
     }
 }
 
-/// Extracts the workers-1 `cycles_per_second` from a committed
-/// `BENCH_sim.json` (JSON-lines; older single-line files work too). Returns
-/// `None` when the file is absent or unparseable — a fresh checkout must
-/// not fail its first benchmark run.
-fn committed_baseline(contents: &str) -> Option<f64> {
-    contents
-        .lines()
-        .find(|l| l.contains("\"workers\":1,") || l.contains("\"workers\":1}"))
-        .and_then(|l| {
-            let tail = l.split("\"cycles_per_second\":").nth(1)?;
-            let digits: String =
-                tail.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-            digits.parse().ok()
-        })
+/// The fastest of [`REGRESSION_ATTEMPTS`] passes: on a noisy host a single
+/// timing window over- or under-states reproducible throughput by tens of
+/// percent in either direction.
+fn fastest(engine: &Engine, jobs: &[snitch_engine::JobSpec]) -> Measurement {
+    (0..REGRESSION_ATTEMPTS)
+        .map(|_| measure(engine, jobs))
+        .min_by(|a, b| a.wall.total_cmp(&b.wall))
+        .expect("at least one pass")
+}
+
+/// The workers-1 line of a committed `BENCH_sim.json`: the workload it
+/// measured and the throughput it recorded.
+struct Baseline {
+    jobs: usize,
+    cycles: u64,
+    cycles_per_second: f64,
+}
+
+/// The number after `"key":` in a flat JSON line.
+fn json_number(line: &str, key: &str) -> Option<f64> {
+    let tail = line.split(&format!("\"{key}\":")).nth(1)?;
+    let digits: String = tail.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
+    digits.parse().ok()
+}
+
+/// Extracts the workers-1 entry from a committed `BENCH_sim.json`
+/// (JSON-lines). Returns `None` when the file is absent or unparseable — a
+/// fresh checkout must not fail its first benchmark run.
+fn committed_baseline(contents: &str) -> Option<Baseline> {
+    let line = contents.lines().find(|l| json_number(l, "workers") == Some(1.0))?;
+    Some(Baseline {
+        jobs: json_number(line, "jobs")? as usize,
+        cycles: json_number(line, "simulated_cycles")? as u64,
+        cycles_per_second: json_number(line, "cycles_per_second")?,
+    })
+}
+
+/// The throughput-regression guard against the committed baseline.
+fn regression_guard(best: &Measurement, baseline: Option<&Baseline>) {
+    let Some(base) = baseline else {
+        eprintln!("bench_sim: no committed baseline found; regression guard skipped");
+        return;
+    };
+    if (base.jobs, base.cycles) != (best.jobs, best.cycles) {
+        eprintln!(
+            "bench_sim: regression guard refused — the committed baseline measured {} jobs \
+             and {} simulated cycles, this batch is {} jobs and {} cycles; commit the \
+             regenerated BENCH_sim.json",
+            base.jobs, base.cycles, best.jobs, best.cycles,
+        );
+        return;
+    }
+    let (rate, base_rate) = (best.cycles_per_second(), base.cycles_per_second);
+    assert!(
+        rate >= base_rate * REGRESSION_TOLERANCE,
+        "simulator throughput regressed: {:.2} M cycles/s is more than {:.0}% below the \
+         committed baseline of {:.2} M cycles/s (BENCH_sim.json)",
+        rate / 1e6,
+        (1.0 - REGRESSION_TOLERANCE) * 100.0,
+        base_rate / 1e6,
+    );
+    eprintln!(
+        "bench_sim: regression guard ok — {:.2} M cycles/s vs committed {:.2} M",
+        rate / 1e6,
+        base_rate / 1e6,
+    );
 }
 
 fn main() {
@@ -233,57 +256,26 @@ fn main() {
     let baseline =
         std::fs::read_to_string("BENCH_sim.json").ok().as_deref().and_then(committed_baseline);
 
-    // The throughput-regression guard: measure workers=1 over every attempt
-    // and keep the minimum wall time (like the overhead guard) — on a noisy
-    // host a single timing window over- or under-states systematically-
-    // reproducible throughput by tens of percent in either direction, so
-    // both the recorded entry and the guard compare minima.
     let engine1 = Engine::new(1);
     let _ = engine1.run(&jobs); // warm-up: compile every program into the cache
-    let mut best: Option<Measurement> = None;
-    for attempt in 1..=REGRESSION_ATTEMPTS {
-        let m = measure(&engine1, &jobs, 1);
-        if best.as_ref().is_none_or(|b| m.wall < b.wall) {
-            best = Some(m);
-        }
-        let rate = best.as_ref().expect("just set").cycles_per_second();
-        if let Some(base) = baseline {
-            if rate < base * REGRESSION_TOLERANCE {
-                eprintln!(
-                    "bench_sim: regression guard attempt {attempt}/{REGRESSION_ATTEMPTS}: \
-                     {:.2} M cycles/s vs committed {:.2} M — re-measuring",
-                    rate / 1e6,
-                    base / 1e6,
-                );
-            }
-        }
-    }
-    let best = best.expect("at least one measurement");
-    if let Some(base) = baseline {
-        let rate = best.cycles_per_second();
-        assert!(
-            rate >= base * REGRESSION_TOLERANCE,
-            "simulator throughput regressed: {:.2} M cycles/s is more than {:.0}% below the \
-             committed baseline of {:.2} M cycles/s (BENCH_sim.json)",
-            rate / 1e6,
-            (1.0 - REGRESSION_TOLERANCE) * 100.0,
-            base / 1e6,
-        );
-        eprintln!(
-            "bench_sim: regression guard ok — {:.2} M cycles/s vs committed {:.2} M",
-            rate / 1e6,
-            base / 1e6,
-        );
-    } else {
-        eprintln!("bench_sim: no committed baseline found; regression guard skipped");
-    }
+    let best = fastest(&engine1, &jobs);
+    regression_guard(&best, baseline.as_ref());
 
     // Multi-worker entries: same batch, bigger pools, so the perf
     // trajectory records scaling alongside the per-core number.
     let mut lines = vec![best.json_line(None)];
-    let reference_cycles = best.cycles;
-    for workers in &WORKER_POOLS[1..] {
-        let engine = Engine::new(*workers);
+    let mut measured = vec![engine1.workers()];
+    for requested in &WORKER_POOLS[1..] {
+        let engine = Engine::new(*requested);
+        if measured.contains(&engine.workers()) {
+            eprintln!(
+                "bench_sim: a {requested}-worker pool runs {} worker(s) on this host, \
+                 already measured",
+                engine.workers()
+            );
+            continue;
+        }
+        measured.push(engine.workers());
         let _ = engine.run(&jobs);
         // Interleave pool and workers-1 measurements and compare minima:
         // host clock drift over the benchmark's lifetime would otherwise
@@ -292,11 +284,11 @@ fn main() {
         let mut m: Option<Measurement> = None;
         let mut base1: Option<Measurement> = None;
         for _ in 0..REGRESSION_ATTEMPTS {
-            let pool = measure(&engine, &jobs, *workers);
+            let pool = measure(&engine, &jobs);
             if m.as_ref().is_none_or(|best| pool.wall < best.wall) {
                 m = Some(pool);
             }
-            let one = measure(&engine1, &jobs, 1);
+            let one = measure(&engine1, &jobs);
             if base1.as_ref().is_none_or(|best| one.wall < best.wall) {
                 base1 = Some(one);
             }
@@ -304,7 +296,7 @@ fn main() {
         let m = m.expect("at least one attempt");
         let base_cps = base1.expect("at least one attempt").cycles_per_second();
         assert_eq!(
-            m.cycles, reference_cycles,
+            m.cycles, best.cycles,
             "simulated cycles must be identical across worker counts"
         );
         let ratio = m.cycles_per_second() / base_cps;
@@ -314,9 +306,10 @@ fn main() {
         // phase.
         if ratio < 0.95 {
             eprintln!(
-                "bench_sim: WARNING: workers={workers} runs {ratio:.2}x the single-worker \
+                "bench_sim: WARNING: workers={} runs {ratio:.2}x the single-worker \
                  throughput (< 1.0) — the pool is a net slowdown on the smoke batch; \
-                 run `perf-report` for the phase attribution"
+                 run `perf-report` for the phase attribution",
+                m.workers
             );
         }
         lines.push(m.json_line(Some(ratio)));

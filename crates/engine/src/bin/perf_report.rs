@@ -22,7 +22,7 @@ use std::time::Instant;
 use snitch_engine::{job, Engine, JobSpec};
 use snitch_kernels::registry::{Kernel, Variant};
 use snitch_profile::{regions, RegionMap, StallCause};
-use snitch_telemetry::{chrome, metrics, Phase, Report, Telemetry};
+use snitch_telemetry::{chrome, guard, metrics, Phase, Report, Telemetry};
 
 const USAGE: &str = "\
 usage: perf-report [OPTIONS]
@@ -217,37 +217,18 @@ fn diagnose(base: &Profile, worst: &Profile) -> Vec<String> {
     lines
 }
 
-/// Measures telemetry overhead: the smoke batch through one warmed engine,
-/// disabled vs enabled handles interleaved, min-of-repeats, with re-measure
-/// attempts (the `bench_sim` guard recipe). Returns `(off_ns, on_ns)` of the
-/// passing attempt.
-fn overhead_guard(jobs: &[JobSpec]) -> Result<(u64, u64), (u64, u64)> {
-    const REPEATS: usize = 5;
-    const ATTEMPTS: usize = 3;
-    const TOLERANCE: f64 = 1.02;
+/// Measures telemetry overhead with the shared guard: the smoke batch
+/// through one warmed engine, disabled vs enabled telemetry handles.
+fn overhead_guard(jobs: &[JobSpec]) -> Result<guard::Minima, guard::Minima> {
     let engine = Engine::new(1);
     let _warm = engine.run(jobs); // compile programs, fault in allocations
-    let time = |tel: &Telemetry| -> u64 {
+    let time = |tel: &Telemetry| {
         let t0 = Instant::now();
         let records = engine.run_with(jobs, tel);
         assert!(records.iter().all(|r| r.ok), "guard batch must validate");
-        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        t0.elapsed()
     };
-    let mut last = (0, 0);
-    for _ in 0..ATTEMPTS {
-        let mut off = u64::MAX;
-        let mut on = u64::MAX;
-        for _ in 0..REPEATS {
-            off = off.min(time(&Telemetry::off()));
-            let tel = Telemetry::new();
-            on = on.min(time(&tel));
-        }
-        last = (off, on);
-        if on as f64 <= off as f64 * TOLERANCE {
-            return Ok(last);
-        }
-    }
-    Err(last)
+    guard::overhead_guard(|| time(&Telemetry::off()), || time(&Telemetry::new()))
 }
 
 /// The guest-side counterpart of the host attribution: one representative
@@ -442,19 +423,19 @@ fn main() -> ExitCode {
 
     if args.overhead_guard {
         match overhead_guard(&jobs) {
-            Ok((off, on)) => eprintln!(
+            Ok(m) => eprintln!(
                 "perf-report: overhead guard ok: disabled {:.2}ms, enabled {:.2}ms ({:+.2}%)",
-                off as f64 / 1e6,
-                on as f64 / 1e6,
-                100.0 * (on as f64 / off as f64 - 1.0)
+                m.bare.as_secs_f64() * 1e3,
+                m.hooked.as_secs_f64() * 1e3,
+                m.overhead_pct()
             ),
-            Err((off, on)) => {
+            Err(m) => {
                 eprintln!(
                     "perf-report: overhead guard FAILED: disabled {:.2}ms, enabled {:.2}ms \
                      ({:+.2}% > 2% budget)",
-                    off as f64 / 1e6,
-                    on as f64 / 1e6,
-                    100.0 * (on as f64 / off as f64 - 1.0)
+                    m.bare.as_secs_f64() * 1e3,
+                    m.hooked.as_secs_f64() * 1e3,
+                    m.overhead_pct()
                 );
                 return ExitCode::FAILURE;
             }

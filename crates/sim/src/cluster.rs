@@ -3,9 +3,10 @@
 use snitch_asm::program::Program;
 use snitch_profile::Profiler;
 use snitch_riscv::reg::{FpReg, IntReg};
-use snitch_trace::{EventKind, TraceEvent, Tracer, CLUSTER_HART};
+use snitch_trace::{EventKind, StallCause, TraceEvent, Tracer, CLUSTER_HART};
 
-use crate::block::BlockCache;
+use crate::block::{BlockCache, BlockOp};
+use crate::charge::Charge;
 use crate::config::ClusterConfig;
 use crate::core::{Decoded, IntCore};
 use crate::dma::Dma;
@@ -15,7 +16,6 @@ use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
 use crate::ssr::Ssr;
 use crate::stats::Stats;
-use crate::trace_event;
 
 /// Cycles without any unit making progress before a deadlock is declared.
 const DEADLOCK_WINDOW: u64 = 50_000;
@@ -25,6 +25,14 @@ const DEADLOCK_WINDOW: u64 = 50_000;
 /// program spends the bulk of its deadlock window — and reports the error —
 /// on the reference path, at exactly the reference cycle.
 const BLOCK_STUCK_EXIT: u64 = 64;
+
+/// The issue counters a hart's work moves: the core slot (integer issues
+/// and FP offloads) and the FPU (every FP issue, core or sequencer). They
+/// change ⇔ the hart did work this cycle — the deadlock detector's progress
+/// signal.
+fn issue_work(stats: &Stats) -> u64 {
+    stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles
+}
 
 /// Everything private to one compute core (hart): the integer pipeline, its
 /// FP subsystem, the three SSR streamers, the L0 instruction buffer and the
@@ -131,8 +139,8 @@ pub struct Cluster {
     /// every emission site is a single branch and constructs nothing.
     tracer: Option<Tracer>,
     /// Cycle-profile collector, attached when `cfg.profile` is set (or
-    /// explicitly via [`attach_profiler`](Self::attach_profiler)). Unlike
-    /// the tracer it stays engaged on the block-burst fast path — charges
+    /// explicitly via [`attach_profiler`](Self::attach_profiler)). Unlike a
+    /// recording tracer it keeps the block-burst fast path engaged — charges
     /// are O(1) array increments, not event records.
     profiler: Option<Profiler>,
 }
@@ -468,14 +476,15 @@ impl Cluster {
 
             let was_halted = core.halted();
             let was_waiting = core.barrier_waiting();
-            let issued_before = stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles;
+            let issued_before = issue_work(stats);
 
             // FP→int write-backs land before the core issues, so results
             // are visible the cycle they retire.
             fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
 
-            let core_result =
-                core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, stats, tracer, profiler);
+            let hart = core.hart_id() as u8;
+            let mut charge = Charge::new(hart, stats, tracer, profiler);
+            let core_result = core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, &mut charge);
             // Halt/barrier transitions happen only inside `core.step`;
             // commit them even when this or a later unit faults, so
             // `halted()` can never go stale on an aborted cycle.
@@ -490,34 +499,25 @@ impl Cluster {
                 break;
             }
 
-            let hart = core.hart_id() as u8;
-            if let Err(e) = fpss.step(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler) {
+            if let Err(e) = fpss.step(now, cfg, mem, arb, ssrs, &mut charge) {
                 fault = Some(e);
                 break;
             }
 
             for (i, ssr) in ssrs.iter_mut().enumerate() {
                 let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
-                stats.tcdm_ssr_accesses += u64::from(accesses);
+                charge.stats.tcdm_ssr_accesses += u64::from(accesses);
                 progressed |= accesses > 0;
                 if accesses > 0 {
-                    trace_event!(
-                        tracer,
-                        now,
-                        hart,
-                        EventKind::SsrBeat { ssr: i as u8, count: accesses }
-                    );
+                    charge.event(now, || EventKind::SsrBeat { ssr: i as u8, count: accesses });
                 }
                 if ssr.armed() {
-                    stats.ssr_active_cycles[i] += 1;
+                    charge.stats.ssr_active_cycles[i] += 1;
                 }
-                stats.ssr_beats[i] = ssr.beats();
+                charge.stats.ssr_beats[i] = ssr.beats();
             }
 
-            // Issue counters moved ⇔ this unit did work this cycle (core
-            // and FPSS issues both bump one of these three).
-            progressed |=
-                stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles != issued_before;
+            progressed |= issue_work(charge.stats) != issued_before;
         }
 
         if let Some(e) = fault {
@@ -531,17 +531,18 @@ impl Cluster {
         let dma_accesses = dma.step(mem, arb);
         *tcdm_dma_accesses += u64::from(dma_accesses);
         progressed |= dma.beats() != dma_beats_before;
-        if dma_accesses > 0 {
-            trace_event!(tracer, now, CLUSTER_HART, EventKind::DmaActive { count: dma_accesses });
-        }
         let new_conflicts = arb.conflicts() - conflicts_before;
-        if new_conflicts > 0 {
-            trace_event!(
-                tracer,
-                now,
-                CLUSTER_HART,
-                EventKind::BankConflicts { count: new_conflicts as u32 }
-            );
+        if let Some(t) = tracer {
+            if dma_accesses > 0 {
+                t.record(now, CLUSTER_HART, EventKind::DmaActive { count: dma_accesses });
+            }
+            if new_conflicts > 0 {
+                t.record(
+                    now,
+                    CLUSTER_HART,
+                    EventKind::BankConflicts { count: new_conflicts as u32 },
+                );
+            }
         }
 
         // Hardware barrier: release every waiting hart in the same cycle
@@ -551,7 +552,9 @@ impl Cluster {
             for unit in units.iter_mut() {
                 if unit.core.barrier_waiting() {
                     unit.core.release_barrier();
-                    trace_event!(tracer, now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
+                    if let Some(t) = tracer {
+                        t.record(now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
+                    }
                 }
             }
             barrier_waiting = 0;
@@ -676,7 +679,9 @@ impl Cluster {
     /// provably a per-cycle no-op: one non-halted hart, every halted hart
     /// parked (idle FP subsystem, quiescent streamers — the stepper's own
     /// skip condition), nobody at the barrier, the DMA engine idle, and no
-    /// recording tracer attached (event emission needs the stepper's hooks).
+    /// recording tracer attached (the burst books issues and stalls through
+    /// the same charge path, but skips silent windows and quiescent streamers
+    /// and so never emits the stepper's per-cycle SSR and cluster events).
     fn block_eligible_hart(&self) -> Option<usize> {
         if !self.block
             || self.barrier_waiting_count != 0
@@ -721,12 +726,13 @@ impl Cluster {
                 arb,
                 tcdm_dma_accesses,
                 blocks,
+                tracer,
                 profiler,
                 ..
             } = self;
             let CoreUnit { core, fpss, ssrs, l0, stats } = &mut units[hart];
             let hart_u8 = core.hart_id() as u8;
-            let mut no_tracer: Option<Tracer> = None;
+            let mut charge = Charge::new(hart_u8, stats, tracer, profiler);
             loop {
                 if now >= max_cycles || now - last_progress > BLOCK_STUCK_EXIT {
                     break;
@@ -750,7 +756,7 @@ impl Cluster {
                     break;
                 }
                 arb.begin_cycle();
-                let issued_before = stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles;
+                let issued_before = issue_work(charge.stats);
                 if !fp_quiet {
                     fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
                 }
@@ -762,15 +768,9 @@ impl Cluster {
                     // no hazards and the write-back claim prune is lazy.)
                     let idx = (core.pc().wrapping_sub(snitch_asm::layout::TEXT_BASE) / 4) as usize;
                     if !fp_quiet
-                        && blocks
-                            .ops()
-                            .get(idx)
-                            .is_some_and(|b| matches!(b.op, crate::block::BlockOp::FenceWait))
+                        && blocks.ops().get(idx).is_some_and(|b| matches!(b.op, BlockOp::FenceWait))
                     {
-                        stats.add_stall(snitch_trace::StallCause::Fence, 1);
-                        if let Some(p) = profiler {
-                            p.stall(hart, core.pc(), snitch_trace::StallCause::Fence, 1);
-                        }
+                        charge.stall(now, core.pc(), StallCause::Fence, 1);
                     } else {
                         let r = core.step_block(
                             now,
@@ -783,8 +783,7 @@ impl Cluster {
                             fpss,
                             ssrs,
                             dma,
-                            stats,
-                            profiler,
+                            &mut charge,
                         );
                         if core.halted() {
                             new_halts += 1;
@@ -803,17 +802,7 @@ impl Cluster {
                 // Re-checked after the issue: a just-offloaded op must step
                 // this cycle. When still idle, `step` is a pure no-op.
                 if !fpss.idle_now() {
-                    if let Err(e) = fpss.step(
-                        now,
-                        hart_u8,
-                        cfg,
-                        mem,
-                        arb,
-                        ssrs,
-                        stats,
-                        &mut no_tracer,
-                        profiler,
-                    ) {
+                    if let Err(e) = fpss.step(now, cfg, mem, arb, ssrs, &mut charge) {
                         fault = Some(e);
                         break;
                     }
@@ -823,18 +812,16 @@ impl Cluster {
                         continue;
                     }
                     let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart_u8, i as u8));
-                    stats.tcdm_ssr_accesses += u64::from(accesses);
+                    charge.stats.tcdm_ssr_accesses += u64::from(accesses);
                     if accesses > 0 {
                         last_progress = now + 1;
                     }
                     if ssr.armed() {
-                        stats.ssr_active_cycles[i] += 1;
+                        charge.stats.ssr_active_cycles[i] += 1;
                     }
-                    stats.ssr_beats[i] = ssr.beats();
+                    charge.stats.ssr_beats[i] = ssr.beats();
                 }
-                let mut progressed =
-                    stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles
-                        != issued_before;
+                let mut progressed = issue_work(charge.stats) != issued_before;
                 let dma_active = !dma.idle();
                 if dma_active {
                     // A transfer the core just enqueued has moved no beats

@@ -14,17 +14,17 @@
 //! * `scfgwi` to a busy streamer stalls until the stream completes, and the
 //!   FPU-fence CSR stalls until the FP subsystem and streamers drain.
 
-use snitch_profile::Profiler;
 use snitch_riscv::csr::{
     SsrCfgWord, CSR_BARRIER, CSR_CLUSTER_ID, CSR_FPU_FENCE, CSR_MCYCLE, CSR_MHARTID, CSR_MINSTRET,
     CSR_SSR,
 };
 use snitch_riscv::inst::Inst;
 use snitch_riscv::meta::RegRef;
-use snitch_riscv::ops::{CsrOp, DmaOp};
+use snitch_riscv::ops::{CsrOp, DmaOp, LoadOp};
 use snitch_riscv::reg::IntReg;
-use snitch_trace::{EventKind, Lane, StallCause, Tracer};
+use snitch_trace::{EventKind, Lane, StallCause};
 
+use crate::charge::Charge;
 use crate::config::ClusterConfig;
 use crate::dma::Dma;
 use crate::error::SimFault;
@@ -33,7 +33,6 @@ use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
 use crate::ssr::Ssr;
 use crate::stats::Stats;
-use crate::trace_event;
 use snitch_asm::layout;
 
 /// Sentinel `ready_at` for a register awaiting an FP→int write-back.
@@ -225,46 +224,38 @@ impl IntCore {
         }
     }
 
-    fn write_reg(&mut self, rd: IntReg, value: u32, ready_at: u64) {
-        if !rd.is_zero() {
-            self.regs[rd.index() as usize] = value;
-            self.ready_at[rd.index() as usize] = ready_at;
+    fn write_reg(&mut self, rd: u8, value: u32, ready_at: u64) {
+        if rd != 0 {
+            self.regs[usize::from(rd)] = value;
+            self.ready_at[usize::from(rd)] = ready_at;
         }
     }
 
-    /// Counts a lost issue slot against `cause` and emits the matching
-    /// trace event (both go through the same [`StallCause`], so trace
-    /// attribution can never drift from the counters). `now` is the first
-    /// *lost* cycle: the current cycle for a failed issue attempt, the next
-    /// cycle for a taken branch's refill window (the branch itself issues).
-    /// `pc` is the instruction the cycles are charged to — the current pc
-    /// everywhere except the taken-branch arms, which capture the branch pc
-    /// before redirecting.
-    #[allow(clippy::too_many_arguments)]
-    fn stall(
+    /// Scoreboard check in issue order (sources, then the destination; index
+    /// 0 is x0, whose slot is always ready): books the first hazard's stall
+    /// and returns whether the issue must wait.
+    fn operand_hazard(
         &self,
         now: u64,
-        pc: u32,
-        cause: StallCause,
-        cycles: u32,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if cycles == 0 {
-            return;
+        regs: impl IntoIterator<Item = u8>,
+        charge: &mut Charge<'_>,
+    ) -> bool {
+        for r in regs {
+            let ready = self.ready_at[usize::from(r)];
+            if ready > now {
+                let cause =
+                    if ready == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
+                charge.stall(now, self.pc, cause, 1);
+                return true;
+            }
         }
-        stats.add_stall(cause, u64::from(cycles));
-        if let Some(p) = profiler {
-            p.stall(self.hart_id as usize, pc, cause, u64::from(cycles));
-        }
-        trace_event!(tracer, now, self.hart_id as u8, EventKind::Stall { cause, cycles });
+        false
     }
 
     /// One issue attempt. Returns `Err` on machine faults; sets
     /// [`halted`](Self::halted) on `ecall`.
     #[allow(clippy::too_many_arguments)]
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -275,9 +266,7 @@ impl IntCore {
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
         dma: &mut Dma,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> Result<(), SimFault> {
         if self.halted {
             return Ok(());
@@ -293,29 +282,15 @@ impl IntCore {
         let d = *d;
 
         // ---- operand readiness ----
-        for src in d.int_srcs.iter().flatten() {
-            let r = self.ready_at[src.index() as usize];
-            if r > now {
-                let cause =
-                    if r == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.stall(now, self.pc, cause, 1, stats, tracer, profiler);
-                return Ok(());
-            }
-        }
-        if let Some(rd) = d.int_dst {
-            let r = self.ready_at[rd.index() as usize];
-            if r > now {
-                let cause =
-                    if r == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.stall(now, self.pc, cause, 1, stats, tracer, profiler);
-                return Ok(());
-            }
+        let operands = d.int_srcs.iter().chain([&d.int_dst]).flatten();
+        if self.operand_hazard(now, operands.map(|r| r.index()), charge) {
+            return Ok(());
         }
 
         // ---- FP-domain offload (incl. FREP markers) ----
         if d.inst.is_fp() || d.inst.is_frep() {
             if !fpss.can_accept() {
-                self.stall(now, self.pc, StallCause::OffloadFull, 1, stats, tracer, profiler);
+                charge.stall(now, self.pc, StallCause::OffloadFull, 1);
                 return Ok(());
             }
             let int_val = match d.inst {
@@ -339,12 +314,8 @@ impl IntCore {
                 }
             }
             fpss.offload(OffloadEntry::at(d.inst, int_val, self.pc));
-            self.fetched(now, d.inst, l0, stats, tracer, profiler);
-            if d.inst.is_frep() {
-                stats.int_issued += 1;
-            } else {
-                stats.fp_issued_core += 1;
-            }
+            let lane = if d.inst.is_fp() { Lane::FpCore } else { Lane::Int };
+            self.fetched(now, lane, d.inst, l0, charge);
             self.pc = self.pc.wrapping_add(4);
             return Ok(());
         }
@@ -352,21 +323,19 @@ impl IntCore {
         // ---- integer-side execution ----
         match d.inst {
             Inst::Lui { rd, imm } => {
-                if !self.issue_alu_like(
-                    now, cfg, l0, d.inst, rd, imm as u32, 1, stats, tracer, profiler,
-                ) {
+                if !self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), imm as u32, 1, charge) {
                     return Ok(());
                 }
             }
             Inst::Auipc { rd, imm } => {
                 let v = self.pc.wrapping_add(imm as u32);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), v, 1, charge) {
                     return Ok(());
                 }
             }
             Inst::OpImm { op, rd, rs1, imm } => {
                 let v = op.eval(self.regs[rs1.index() as usize], imm);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), v, 1, charge) {
                     return Ok(());
                 }
             }
@@ -379,167 +348,61 @@ impl IntCore {
                     1
                 };
                 let v = op.eval(self.regs[rs1.index() as usize], self.regs[rs2.index() as usize]);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, lat, stats, tracer, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), v, lat, charge) {
                     return Ok(());
                 }
             }
             Inst::Jal { rd, offset } => {
-                if !rd.is_zero() && !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                    self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
-                let link = self.pc.wrapping_add(4);
-                if !rd.is_zero() {
-                    self.claim_wb(now + 1);
-                }
-                self.write_reg(rd, link, now + 1);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                let jump_pc = self.pc;
-                self.pc = self.pc.wrapping_add(offset as u32);
-                self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                self.stall(
-                    now + 1,
-                    jump_pc,
-                    StallCause::Branch,
-                    cfg.branch_penalty,
-                    stats,
-                    tracer,
-                    profiler,
-                );
+                let target = self.pc.wrapping_add(offset as u32);
+                self.jump(now, cfg, l0, d.inst, rd.index(), target, charge);
                 return Ok(());
             }
             Inst::Jalr { rd, rs1, offset } => {
-                if !rd.is_zero() && !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                    self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
                 let target = self.regs[rs1.index() as usize].wrapping_add(offset as u32) & !1;
-                let link = self.pc.wrapping_add(4);
-                if !rd.is_zero() {
-                    self.claim_wb(now + 1);
-                }
-                self.write_reg(rd, link, now + 1);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                let jump_pc = self.pc;
-                self.pc = target;
-                self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                self.stall(
-                    now + 1,
-                    jump_pc,
-                    StallCause::Branch,
-                    cfg.branch_penalty,
-                    stats,
-                    tracer,
-                    profiler,
-                );
+                self.jump(now, cfg, l0, d.inst, rd.index(), target, charge);
                 return Ok(());
             }
             Inst::Branch { op, rs1, rs2, offset } => {
                 let taken =
                     op.taken(self.regs[rs1.index() as usize], self.regs[rs2.index() as usize]);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                if taken {
-                    let branch_pc = self.pc;
-                    self.pc = self.pc.wrapping_add(offset as u32);
-                    self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                    self.stall(
-                        now + 1,
-                        branch_pc,
-                        StallCause::Branch,
-                        cfg.branch_penalty,
-                        stats,
-                        tracer,
-                        profiler,
-                    );
-                } else {
-                    self.pc = self.pc.wrapping_add(4);
-                }
+                let target = self.pc.wrapping_add(offset as u32);
+                self.branch(now, cfg, l0, d.inst, taken.then_some(target), charge);
                 return Ok(());
             }
             Inst::Load { op, rd, rs1, offset } => {
                 // Integer loads may not bypass queued FP stores (single-
                 // thread memory ordering; see Fpss::has_pending_stores).
                 if fpss.has_pending_stores() {
-                    self.stall(now, self.pc, StallCause::StoreOrder, 1, stats, tracer, profiler);
+                    charge.stall(now, self.pc, StallCause::StoreOrder, 1);
                     return Ok(());
                 }
                 let addr = self.regs[rs1.index() as usize].wrapping_add(offset as u32);
-                let lat = if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.stall(
-                            now,
-                            self.pc,
-                            StallCause::TcdmConflict,
-                            1,
-                            stats,
-                            tracer,
-                            profiler,
-                        );
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                    cfg.load_latency
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                    cfg.load_latency + cfg.main_mem_extra_latency
-                } else {
-                    // Shared L2 or a cluster alias window: interconnect path.
-                    stats.l2_accesses += 1;
-                    cfg.load_latency + cfg.l2_latency
+                let Some(extra) = self.lsu_access(addr, cfg, arb, charge.stats) else {
+                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
+                    return Ok(());
                 };
-                let raw = mem.read(addr, op.size()).map_err(SimFault::from)? as u32;
-                let v = match op {
-                    snitch_riscv::ops::LoadOp::Lb => (raw as i8) as i32 as u32,
-                    snitch_riscv::ops::LoadOp::Lh => (raw as i16) as i32 as u32,
-                    _ => raw,
-                };
-                self.write_reg(rd, v, now + u64::from(lat));
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
+                let v = load_value(op, mem.read(addr, op.size()).map_err(SimFault::from)?);
+                self.write_reg(rd.index(), v, now + u64::from(cfg.load_latency + extra));
+                self.fetched(now, Lane::Int, d.inst, l0, charge);
             }
             Inst::Store { op, rs2, rs1, offset } => {
                 let addr = self.regs[rs1.index() as usize].wrapping_add(offset as u32);
-                if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.stall(
-                            now,
-                            self.pc,
-                            StallCause::TcdmConflict,
-                            1,
-                            stats,
-                            tracer,
-                            profiler,
-                        );
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                } else {
-                    stats.l2_accesses += 1;
+                if self.lsu_access(addr, cfg, arb, charge.stats).is_none() {
+                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
+                    return Ok(());
                 }
                 mem.write(addr, op.size(), u64::from(self.regs[rs2.index() as usize]))
                     .map_err(SimFault::from)?;
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, d.inst, l0, charge);
             }
-            Inst::Fence => {
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
+            Inst::Fence => self.fetched(now, Lane::Int, d.inst, l0, charge),
             Inst::Ecall | Inst::Ebreak => {
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, d.inst, l0, charge);
                 self.halted = true;
                 return Ok(());
             }
             Inst::Csr { op, rd, csr, src } => {
-                if !self.issue_csr(
-                    now, cfg, l0, d.inst, op, rd, csr, src, fpss, ssrs, stats, tracer, profiler,
-                ) {
+                if !self.issue_csr(now, cfg, l0, d.inst, op, rd, csr, src, fpss, ssrs, charge) {
                     return Ok(());
                 }
             }
@@ -548,19 +411,18 @@ impl IntCore {
                     return Err(SimFault::new(format!("invalid ssr config address {addr:#x}")));
                 };
                 if ssrs[i].busy() {
-                    self.stall(now, self.pc, StallCause::SsrCfg, 1, stats, tracer, profiler);
+                    charge.stall(now, self.pc, StallCause::SsrCfg, 1);
                     return Ok(());
                 }
                 ssrs[i].write_cfg(word, self.regs[value.index() as usize]);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, d.inst, l0, charge);
             }
             Inst::Scfgri { rd, addr } => {
                 let Some((word, i)) = SsrCfgWord::from_addr(addr) else {
                     return Err(SimFault::new(format!("invalid ssr config address {addr:#x}")));
                 };
                 let v = ssrs[i].read_cfg(word);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), v, 1, charge) {
                     return Ok(());
                 }
             }
@@ -572,29 +434,15 @@ impl IntCore {
                     DmaOp::Dst => dma.set_dst(a),
                     DmaOp::Str => dma.set_strides(a, b),
                     DmaOp::Rep => dma.set_reps(a),
-                    DmaOp::CpyI => {
-                        let id = dma.start(a);
-                        if !self.issue_alu_like(
-                            now, cfg, l0, d.inst, rd, id, 1, stats, tracer, profiler,
-                        ) {
-                            return Ok(());
+                    DmaOp::CpyI | DmaOp::StatI => {
+                        let v = if op == DmaOp::CpyI { dma.start(a) } else { dma.outstanding() };
+                        if self.issue_alu_like(now, cfg, l0, d.inst, rd.index(), v, 1, charge) {
+                            self.pc = self.pc.wrapping_add(4);
                         }
-                        self.pc = self.pc.wrapping_add(4);
-                        return Ok(());
-                    }
-                    DmaOp::StatI => {
-                        let v = dma.outstanding();
-                        if !self
-                            .issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler)
-                        {
-                            return Ok(());
-                        }
-                        self.pc = self.pc.wrapping_add(4);
                         return Ok(());
                     }
                 }
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, d.inst, l0, charge);
             }
             other => {
                 return Err(SimFault::new(format!("unhandled integer instruction `{other}`")));
@@ -604,9 +452,9 @@ impl IntCore {
         Ok(())
     }
 
-    /// Issues an ALU-like operation writing `rd` with `latency` on the shared
-    /// write-back port. Returns false (and counts a stall) if the port is
-    /// already claimed for the write-back cycle.
+    /// Issues an ALU-like operation writing register `rd` with `latency` on
+    /// the shared write-back port. Returns false (and books a stall) if the
+    /// port is already claimed for the write-back cycle.
     #[allow(clippy::too_many_arguments)]
     fn issue_alu_like(
         &mut self,
@@ -614,55 +462,122 @@ impl IntCore {
         cfg: &ClusterConfig,
         l0: &mut L0Cache,
         inst: Inst,
-        rd: IntReg,
+        rd: u8,
         value: u32,
         latency: u32,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> bool {
         let wb_cycle = now + u64::from(latency);
-        if !rd.is_zero() {
+        if rd != 0 {
             if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
-                self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
+                charge.stall(now, self.pc, StallCause::WbPort, 1);
                 return false;
             }
             self.claim_wb(wb_cycle);
         }
         self.write_reg(rd, value, wb_cycle);
-        self.fetched(now, inst, l0, stats, tracer, profiler);
-        stats.int_issued += 1;
+        self.fetched(now, Lane::Int, inst, l0, charge);
         true
     }
 
-    /// Fetch-path accounting; called exactly once per issued instruction, so
-    /// it is also the single issue-event emission site for the core slot —
-    /// and the profiler's core-lane charge point (`self.pc` still addresses
-    /// the issuing instruction here; the advance happens afterwards).
+    /// `jal`/`jalr`: the link write on the shared port, then the redirect to
+    /// `target` (computed by the caller from the pre-issue registers, since
+    /// `rd` may alias `rs1`).
+    #[allow(clippy::too_many_arguments)]
+    fn jump(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        l0: &mut L0Cache,
+        inst: Inst,
+        rd: u8,
+        target: u32,
+        charge: &mut Charge<'_>,
+    ) {
+        let link = self.pc.wrapping_add(4);
+        if self.issue_alu_like(now, cfg, l0, inst, rd, link, 1, charge) {
+            self.redirect(now, cfg, target, charge);
+        }
+    }
+
+    /// A conditional branch that has issued: redirects to `taken` or falls
+    /// through.
+    fn branch(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        l0: &mut L0Cache,
+        inst: Inst,
+        taken: Option<u32>,
+        charge: &mut Charge<'_>,
+    ) {
+        self.fetched(now, Lane::Int, inst, l0, charge);
+        match taken {
+            Some(target) => self.redirect(now, cfg, target, charge),
+            None => self.pc = self.pc.wrapping_add(4),
+        }
+    }
+
+    /// Taken-branch/jump tail: books the refill window against the branch's
+    /// own pc (its first lost cycle is the next one), then moves the pc.
+    fn redirect(&mut self, now: u64, cfg: &ClusterConfig, target: u32, charge: &mut Charge<'_>) {
+        charge.stall(now + 1, self.pc, StallCause::Branch, cfg.branch_penalty);
+        self.pc = target;
+        self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
+    }
+
+    /// Routes a core LSU access to `addr`: arbitrates a TCDM bank and counts
+    /// the access against its memory level. Returns the latency beyond the
+    /// TCDM load latency, or `None` when the bank grant was lost this cycle.
+    fn lsu_access(
+        &self,
+        addr: u32,
+        cfg: &ClusterConfig,
+        arb: &mut TcdmArbiter,
+        stats: &mut Stats,
+    ) -> Option<u32> {
+        if layout::is_tcdm(addr) {
+            if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
+                return None;
+            }
+            stats.tcdm_core_accesses += 1;
+            Some(0)
+        } else if layout::is_main(addr) {
+            stats.main_mem_accesses += 1;
+            Some(cfg.main_mem_extra_latency)
+        } else {
+            // Shared L2 or a cluster alias window: interconnect path.
+            stats.l2_accesses += 1;
+            Some(cfg.l2_latency)
+        }
+    }
+
+    /// Fetch-path accounting; called exactly once per issued instruction
+    /// (`self.pc` still addresses it — the advance happens afterwards), so
+    /// it is the core slot's single issue-booking site.
     fn fetched(
         &mut self,
         now: u64,
+        lane: Lane,
         inst: Inst,
         l0: &mut L0Cache,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) {
         if l0.fetch(self.pc) {
-            stats.l0_hits += 1;
+            charge.stats.l0_hits += 1;
         } else {
-            stats.l0_misses += 1;
+            charge.stats.l0_misses += 1;
         }
-        let lane = if inst.is_fp() { Lane::FpCore } else { Lane::Int };
-        if let Some(p) = profiler {
-            p.issue(self.hart_id as usize, self.pc, lane);
-        }
-        trace_event!(
-            tracer,
-            now,
-            self.hart_id as u8,
-            EventKind::Issue { lane, pc: Some(self.pc), inst }
-        );
+        charge.issue(now, self.pc, lane, inst);
+    }
+}
+
+/// Sign- or zero-extends a loaded value to the register width.
+fn load_value(op: LoadOp, raw: u64) -> u32 {
+    match op {
+        LoadOp::Lb => (raw as i8) as i32 as u32,
+        LoadOp::Lh => (raw as i16) as i32 as u32,
+        _ => raw as u32,
     }
 }
 
@@ -686,16 +601,14 @@ impl IntCore {
         src: u8,
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> bool {
         let old: u32 = match csr {
             CSR_SSR => u32::from(fpss.ssr_enabled()),
             CSR_FPU_FENCE => {
                 let drained = fpss.drained(now) && ssrs.iter().all(|s| !s.busy());
                 if !drained {
-                    self.stall(now, self.pc, StallCause::Fence, 1, stats, tracer, profiler);
+                    charge.stall(now, self.pc, StallCause::Fence, 1);
                     return false;
                 }
                 0
@@ -710,17 +623,17 @@ impl IntCore {
                     // Arrive (idempotently) and stall until the cluster
                     // releases all waiting harts in one cycle.
                     if self.barrier == BarrierState::Idle {
-                        trace_event!(tracer, now, self.hart_id as u8, EventKind::BarrierArrive);
+                        charge.event(now, || EventKind::BarrierArrive);
                     }
                     self.barrier = BarrierState::Waiting;
-                    self.stall(now, self.pc, StallCause::Barrier, 1, stats, tracer, profiler);
+                    charge.stall(now, self.pc, StallCause::Barrier, 1);
                     return false;
                 }
             },
             CSR_MHARTID => self.hart_id,
             CSR_CLUSTER_ID => self.cluster_id,
             CSR_MCYCLE => now as u32,
-            CSR_MINSTRET => stats.instructions() as u32,
+            CSR_MINSTRET => charge.stats.instructions() as u32,
             _ => 0,
         };
         let wmask: Option<u32> = match op {
@@ -748,7 +661,7 @@ impl IntCore {
             }
             // Other CSRs are read-only or scratch in this model.
         }
-        self.issue_alu_like(now, cfg, l0, inst, rd, old, 1, stats, tracer, profiler)
+        self.issue_alu_like(now, cfg, l0, inst, rd.index(), old, 1, charge)
     }
 
     fn src_value(&self, op: CsrOp, src: u8) -> u32 {
@@ -760,12 +673,11 @@ impl IntCore {
     }
 }
 
-/// The block-compiled issue path. Each method here is a semantically exact
-/// mirror of its counterpart in [`step`](IntCore::step) with no tracer
-/// attached — same hazard scan order, same stall causes and counts, same
-/// write-back port claims, same pc updates — but driven by pre-lowered
-/// [`BlockInst`] micro-ops instead of re-matching [`Inst`] every cycle.
-/// The differential suite in `tests/block_compile.rs` pins the equivalence.
+/// The block-compiled issue path: the same hazard scan order, stall causes,
+/// write-back port claims, pc updates and bookings as `step` — through the
+/// same helpers — but driven by pre-lowered `BlockInst` micro-ops instead of
+/// re-matching [`Inst`] every cycle. The differential suite in
+/// `tests/block_compile.rs` pins the equivalence against the stepper.
 impl IntCore {
     /// One issue attempt on the fast path. Callers guarantee the core is
     /// not halted and not inside a `stall_until` window.
@@ -782,8 +694,7 @@ impl IntCore {
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
         dma: &mut Dma,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> Result<(), SimFault> {
         use crate::block::{BlockOp, OffloadVal};
         debug_assert!(!self.halted && self.stall_until <= now);
@@ -796,25 +707,17 @@ impl IntCore {
         // keep their stateful semantics by delegating to the reference
         // stepper, which redoes its own housekeeping and hazard scan.
         if matches!(b.op, BlockOp::Generic | BlockOp::FenceWait) {
-            return self
-                .step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, stats, &mut None, profiler);
+            return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
         }
         self.wb_claims.retain(|&(c, _)| c >= now);
-        // Operand scoreboard scan in the stepper's order: sources, then the
-        // destination. Index 0 is x0, whose slot is always ready.
-        for r in [b.srcs[0], b.srcs[1], b.dst] {
-            let ready = self.ready_at[r as usize];
-            if ready > now {
-                let cause =
-                    if ready == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.charge_stall_fast(cause, 1, stats, profiler);
-                return Ok(());
-            }
+        if self.operand_hazard(now, [b.srcs[0], b.srcs[1], b.dst], charge) {
+            return Ok(());
         }
+        let inst = text[idx].inst;
         match b.op {
             BlockOp::Offload { val, meta, is_frep, writes_int_rf } => {
                 if !fpss.can_accept() {
-                    self.charge_stall_fast(StallCause::OffloadFull, 1, stats, profiler);
+                    charge.stall(now, self.pc, StallCause::OffloadFull, 1);
                     return Ok(());
                 }
                 let int_val = match val {
@@ -827,114 +730,68 @@ impl IntCore {
                 if writes_int_rf && b.dst != 0 {
                     self.ready_at[b.dst as usize] = PENDING_FP;
                 }
-                fpss.offload(OffloadEntry::with_meta(text[idx].inst, int_val, meta, self.pc));
+                fpss.offload(OffloadEntry::with_meta(inst, int_val, meta, self.pc));
                 let lane = if is_frep { Lane::Int } else { Lane::FpCore };
-                self.fetched_fast(l0, stats, profiler, lane);
-                if is_frep {
-                    stats.int_issued += 1;
-                } else {
-                    stats.fp_issued_core += 1;
-                }
+                self.fetched(now, lane, inst, l0, charge);
             }
             BlockOp::Lui { value } | BlockOp::Auipc { value } => {
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, value, 1, stats, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, value, 1, charge) {
                     return Ok(());
                 }
             }
             BlockOp::AluImm { op, rs1, imm } => {
                 let v = op.eval(self.regs[rs1 as usize], imm);
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, v, 1, stats, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, v, 1, charge) {
                     return Ok(());
                 }
             }
             BlockOp::AluReg { op, rs1, rs2, latency } => {
                 let v = op.eval(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, v, latency, stats, profiler) {
+                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, v, latency, charge) {
                     return Ok(());
                 }
             }
             BlockOp::Jal { target } => {
-                self.jump_fast(now, cfg, l0, b.dst, target, stats, profiler);
+                self.jump(now, cfg, l0, inst, b.dst, target, charge);
                 return Ok(());
             }
             BlockOp::Jalr { rs1, offset } => {
-                // Target from the *old* rs1 (rd may alias rs1).
                 let target = self.regs[rs1 as usize].wrapping_add(offset as u32) & !1;
-                self.jump_fast(now, cfg, l0, b.dst, target, stats, profiler);
+                self.jump(now, cfg, l0, inst, b.dst, target, charge);
                 return Ok(());
             }
             BlockOp::Branch { op, rs1, rs2, taken_pc } => {
                 let taken = op.taken(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
-                if taken {
-                    self.charge_stall_fast(StallCause::Branch, cfg.branch_penalty, stats, profiler);
-                    self.pc = taken_pc;
-                    self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                } else {
-                    self.pc = self.pc.wrapping_add(4);
-                }
+                self.branch(now, cfg, l0, inst, taken.then_some(taken_pc), charge);
                 return Ok(());
             }
             BlockOp::Load { op, rs1, offset } => {
                 if fpss.has_pending_stores() {
-                    self.charge_stall_fast(StallCause::StoreOrder, 1, stats, profiler);
+                    charge.stall(now, self.pc, StallCause::StoreOrder, 1);
                     return Ok(());
                 }
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
-                let lat = if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.charge_stall_fast(StallCause::TcdmConflict, 1, stats, profiler);
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                    cfg.load_latency
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                    cfg.load_latency + cfg.main_mem_extra_latency
-                } else {
-                    // Shared L2 or a cluster alias window: interconnect path.
-                    stats.l2_accesses += 1;
-                    cfg.load_latency + cfg.l2_latency
+                let Some(extra) = self.lsu_access(addr, cfg, arb, charge.stats) else {
+                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
+                    return Ok(());
                 };
-                let raw = mem.read(addr, op.size()).map_err(SimFault::from)? as u32;
-                let v = match op {
-                    snitch_riscv::ops::LoadOp::Lb => (raw as i8) as i32 as u32,
-                    snitch_riscv::ops::LoadOp::Lh => (raw as i16) as i32 as u32,
-                    _ => raw,
-                };
-                if b.dst != 0 {
-                    self.regs[b.dst as usize] = v;
-                    self.ready_at[b.dst as usize] = now + u64::from(lat);
-                }
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                let v = load_value(op, mem.read(addr, op.size()).map_err(SimFault::from)?);
+                self.write_reg(b.dst, v, now + u64::from(cfg.load_latency + extra));
+                self.fetched(now, Lane::Int, inst, l0, charge);
             }
             BlockOp::Store { op, rs1, rs2, offset } => {
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
-                if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.charge_stall_fast(StallCause::TcdmConflict, 1, stats, profiler);
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                } else {
-                    stats.l2_accesses += 1;
+                if self.lsu_access(addr, cfg, arb, charge.stats).is_none() {
+                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
+                    return Ok(());
                 }
                 mem.write(addr, op.size(), u64::from(self.regs[rs2 as usize]))
                     .map_err(SimFault::from)?;
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, inst, l0, charge);
             }
-            BlockOp::Fence => {
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
-            }
+            BlockOp::Fence => self.fetched(now, Lane::Int, inst, l0, charge),
             BlockOp::Ecall => {
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.fetched(now, Lane::Int, inst, l0, charge);
                 self.halted = true;
                 return Ok(());
             }
@@ -944,102 +801,6 @@ impl IntCore {
         }
         self.pc = self.pc.wrapping_add(4);
         Ok(())
-    }
-
-    /// [`stall`](IntCore::stall) without the tracer hook: books the cycles
-    /// against the counter and the profiler at the current pc (callers
-    /// charge *before* any redirect, so taken branches bill their own pc).
-    fn charge_stall_fast(
-        &self,
-        cause: StallCause,
-        cycles: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if cycles == 0 {
-            return;
-        }
-        stats.add_stall(cause, u64::from(cycles));
-        if let Some(p) = profiler {
-            p.stall(self.hart_id as usize, self.pc, cause, u64::from(cycles));
-        }
-    }
-
-    /// `jal`/`jalr` tail: link write on the shared port, redirect, refill
-    /// penalty (mirrors the stepper's two jump arms).
-    #[allow(clippy::too_many_arguments)]
-    fn jump_fast(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        l0: &mut L0Cache,
-        dst: u8,
-        target: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if dst != 0 {
-            if !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                self.charge_stall_fast(StallCause::WbPort, 1, stats, profiler);
-                return;
-            }
-            self.claim_wb(now + 1);
-            self.regs[dst as usize] = self.pc.wrapping_add(4);
-            self.ready_at[dst as usize] = now + 1;
-        }
-        self.fetched_fast(l0, stats, profiler, Lane::Int);
-        stats.int_issued += 1;
-        self.charge_stall_fast(StallCause::Branch, cfg.branch_penalty, stats, profiler);
-        self.pc = target;
-        self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-    }
-
-    /// [`issue_alu_like`](IntCore::issue_alu_like) without the tracer hook.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_alu_fast(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        l0: &mut L0Cache,
-        dst: u8,
-        value: u32,
-        latency: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) -> bool {
-        let wb_cycle = now + u64::from(latency);
-        if dst != 0 {
-            if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
-                self.charge_stall_fast(StallCause::WbPort, 1, stats, profiler);
-                return false;
-            }
-            self.claim_wb(wb_cycle);
-            self.regs[dst as usize] = value;
-            self.ready_at[dst as usize] = wb_cycle;
-        }
-        self.fetched_fast(l0, stats, profiler, Lane::Int);
-        stats.int_issued += 1;
-        true
-    }
-
-    /// [`fetched`](IntCore::fetched) without the issue-event emission (the
-    /// fast path never runs with a recording tracer; the profiler hook
-    /// stays engaged).
-    fn fetched_fast(
-        &mut self,
-        l0: &mut L0Cache,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-        lane: Lane,
-    ) {
-        if l0.fetch(self.pc) {
-            stats.l0_hits += 1;
-        } else {
-            stats.l0_misses += 1;
-        }
-        if let Some(p) = profiler {
-            p.issue(self.hart_id as usize, self.pc, lane);
-        }
     }
 }
 

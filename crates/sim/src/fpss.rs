@@ -14,39 +14,18 @@
 
 use std::collections::VecDeque;
 
-use snitch_profile::Profiler;
 use snitch_riscv::inst::Inst;
 use snitch_riscv::meta::InstClass;
 use snitch_riscv::ops::{f64_to_i32, f64_to_u32, FpAluOp, FpCmpOp, FpFmt, IntCvt, SgnjOp};
 use snitch_riscv::reg::{FpReg, IntReg};
-use snitch_trace::{EventKind, Lane, StallCause, Tracer};
+use snitch_trace::{EventKind, Lane, StallCause};
 
+use crate::charge::Charge;
 use crate::config::ClusterConfig;
 use crate::error::SimFault;
 use crate::mem::{Memory, TcdmArbiter};
 use crate::ssr::Ssr;
-use crate::stats::Stats;
-use crate::trace_event;
 use snitch_asm::layout;
-
-/// Counts a lost FPU issue slot against the blocked instruction's issue pc
-/// and emits the matching trace event.
-#[allow(clippy::too_many_arguments)]
-fn fpu_stall(
-    now: u64,
-    hart: u8,
-    pc: u32,
-    cause: StallCause,
-    stats: &mut Stats,
-    tracer: &mut Option<Tracer>,
-    profiler: &mut Option<Profiler>,
-) {
-    stats.add_stall(cause, 1);
-    if let Some(p) = profiler {
-        p.stall(usize::from(hart), pc, cause, 1);
-    }
-    trace_event!(tracer, now, hart, EventKind::Stall { cause, cycles: 1 });
-}
 
 /// Register-index sentinel in [`FpMeta`]: no register in this slot.
 const NO_REG: u8 = 0xFF;
@@ -281,17 +260,8 @@ impl Fpss {
         });
     }
 
-    /// Collects the write-backs due at `now` into a fresh `Vec` (convenience
-    /// for tests and instrumentation; the cluster hot path uses
-    /// [`drain_int_writebacks`](Self::drain_int_writebacks)).
-    pub fn take_int_writebacks(&mut self, now: u64) -> Vec<IntWriteback> {
-        let mut due = Vec::new();
-        self.drain_int_writebacks(now, |wb| due.push(wb));
-        due
-    }
-
     /// Whether the subsystem has nothing queued and nothing in flight to
-    /// deliver — a cycle of [`step`](Self::step) would be a pure no-op.
+    /// deliver — a cycle of `step` would be a pure no-op.
     /// Unlike [`drained`](Self::drained), in-flight latency (`busy_until`)
     /// does not matter here: it produces no action by itself.
     #[must_use]
@@ -334,18 +304,14 @@ impl Fpss {
     ///
     /// Returns a [`SimFault`] on malformed programs (FREP body overflow or
     /// non-FP instructions inside a capture) and on memory faults.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         now: u64,
-        hart: u8,
         cfg: &ClusterConfig,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> Result<(), SimFault> {
         // Deliver FPU results into SSR write FIFOs.
         let mut idx = 0;
@@ -359,7 +325,7 @@ impl Fpss {
         }
 
         if matches!(self.seq, SeqState::Replay { .. }) {
-            stats.seq_active_cycles += 1;
+            charge.stats.seq_active_cycles += 1;
         }
 
         match self.seq {
@@ -392,60 +358,24 @@ impl Fpss {
                             stagger_mask,
                             inst_major,
                         };
-                        return self
-                            .step_capture(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler);
+                        return self.step_capture(now, cfg, mem, arb, ssrs, charge);
                     }
-                    if self.try_issue(
-                        &front,
-                        Lane::FpCore,
-                        now,
-                        hart,
-                        cfg,
-                        mem,
-                        arb,
-                        ssrs,
-                        stats,
-                        tracer,
-                        profiler,
-                    )? {
+                    if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
                         self.fifo.pop_front();
-                        stats.fpu_busy_cycles += 1;
+                        charge.stats.fpu_busy_cycles += 1;
                     }
                 }
                 Ok(())
             }
-            SeqState::Capture { .. } => {
-                self.step_capture(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler)
-            }
+            SeqState::Capture { .. } => self.step_capture(now, cfg, mem, arb, ssrs, charge),
             SeqState::Replay { iter, total, pos, stagger_max, stagger_mask, inst_major } => {
                 let mut staggered = self.ring[pos];
                 let offset =
                     if stagger_max == 0 { 0 } else { (iter % (u32::from(stagger_max) + 1)) as u8 };
                 stagger_entry(&mut staggered, stagger_mask, offset);
-                if self.try_issue(
-                    &staggered,
-                    Lane::FpSeq,
-                    now,
-                    hart,
-                    cfg,
-                    mem,
-                    arb,
-                    ssrs,
-                    stats,
-                    tracer,
-                    profiler,
-                )? {
-                    stats.fp_issued_seq += 1;
-                    stats.fpu_busy_cycles += 1;
-                    if let Some(p) = profiler {
-                        p.issue(usize::from(hart), staggered.pc, Lane::FpSeq);
-                    }
-                    trace_event!(
-                        tracer,
-                        now,
-                        hart,
-                        EventKind::Issue { lane: Lane::FpSeq, pc: None, inst: staggered.inst }
-                    );
+                if self.try_issue(&staggered, Lane::FpSeq, now, cfg, mem, arb, ssrs, charge)? {
+                    charge.issue(now, staggered.pc, Lane::FpSeq, staggered.inst);
+                    charge.stats.fpu_busy_cycles += 1;
                     // Advance: sequence-major (frep.o) wraps positions per
                     // iteration; instruction-major (frep.i) exhausts each
                     // instruction's repetitions before moving on. Note the
@@ -490,18 +420,14 @@ impl Fpss {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn step_capture(
         &mut self,
         now: u64,
-        hart: u8,
         cfg: &ClusterConfig,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> Result<(), SimFault> {
         let SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } = self.seq
         else {
@@ -516,21 +442,9 @@ impl Fpss {
                 front.inst
             )));
         }
-        if self.try_issue(
-            &front,
-            Lane::FpCore,
-            now,
-            hart,
-            cfg,
-            mem,
-            arb,
-            ssrs,
-            stats,
-            tracer,
-            profiler,
-        )? {
+        if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
             self.fifo.pop_front();
-            stats.fpu_busy_cycles += 1;
+            charge.stats.fpu_busy_cycles += 1;
             self.ring.push(front);
             let remaining = remaining - 1;
             if remaining == 0 {
@@ -564,14 +478,11 @@ impl Fpss {
         entry: &OffloadEntry,
         lane: Lane,
         now: u64,
-        hart: u8,
         cfg: &ClusterConfig,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        charge: &mut Charge<'_>,
     ) -> Result<bool, SimFault> {
         let inst = entry.inst;
         let meta = entry.meta;
@@ -588,14 +499,14 @@ impl Fpss {
             if ssr_on && s < 3 {
                 pops_needed[s as usize] += 1;
             } else if self.ready_at[s as usize] > now {
-                fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+                charge.stall(now, entry.pc, StallCause::FpuRaw, 1);
                 return Ok(false);
             }
         }
         if ssr_on {
             for (i, &needed) in pops_needed.iter().enumerate() {
                 if needed > 0 && ssrs[i].available_elements() < needed {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuSsr, stats, tracer, profiler);
+                    charge.stall(now, entry.pc, StallCause::FpuSsr, 1);
                     return Ok(false);
                 }
             }
@@ -603,56 +514,56 @@ impl Fpss {
         if meta.dst != NO_REG {
             if ssr_on && meta.dst < 3 {
                 if !ssrs[meta.dst as usize].write_ready() {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuSsr, stats, tracer, profiler);
+                    charge.stall(now, entry.pc, StallCause::FpuSsr, 1);
                     return Ok(false);
                 }
             } else if self.ready_at[meta.dst as usize] > now {
-                fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+                charge.stall(now, entry.pc, StallCause::FpuRaw, 1);
                 return Ok(false);
             }
         }
         let class = meta.class;
         if class == InstClass::FpDivSqrt && self.divsqrt_busy_until > now {
-            fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+            charge.stall(now, entry.pc, StallCause::FpuRaw, 1);
             return Ok(false);
         }
         // Memory operations arbitrate last (a grant must not be wasted).
         if matches!(class, InstClass::FpLoad | InstClass::FpStore) {
             let addr = entry.int_val.expect("fp load/store carries its address");
             if layout::is_tcdm(addr) {
-                if !arb.request(crate::mem::TcdmPort::FpLsu(hart), addr) {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuTcdm, stats, tracer, profiler);
+                if !arb.request(crate::mem::TcdmPort::FpLsu(charge.hart()), addr) {
+                    charge.stall(now, entry.pc, StallCause::FpuTcdm, 1);
                     return Ok(false);
                 }
-                stats.tcdm_fp_accesses += 1;
+                charge.stats.tcdm_fp_accesses += 1;
             } else if layout::is_main(addr) {
-                stats.main_mem_accesses += 1;
+                charge.stats.main_mem_accesses += 1;
             } else {
-                stats.l2_accesses += 1;
+                charge.stats.l2_accesses += 1;
             }
         }
 
         // --- execute (latency lookup and op counter in one dispatch) ---
         let latency = match class {
             InstClass::FpMulAdd => {
-                stats.fpu_muladd_ops += 1;
+                charge.stats.fpu_muladd_ops += 1;
                 cfg.fpu_lat_muladd
             }
             InstClass::FpShort => {
-                stats.fpu_short_ops += 1;
+                charge.stats.fpu_short_ops += 1;
                 cfg.fpu_lat_short
             }
             InstClass::FpCvt => {
-                stats.fpu_cvt_ops += 1;
+                charge.stats.fpu_cvt_ops += 1;
                 cfg.fpu_lat_cvt
             }
             InstClass::FpDivSqrt => {
-                stats.fpu_divsqrt_ops += 1;
+                charge.stats.fpu_divsqrt_ops += 1;
                 self.divsqrt_busy_until = now + u64::from(cfg.fpu_lat_divsqrt);
                 cfg.fpu_lat_divsqrt
             }
             InstClass::FpLoad => {
-                stats.fp_mem_ops += 1;
+                charge.stats.fp_mem_ops += 1;
                 let addr = entry.int_val.expect("checked above");
                 let mut l = cfg.fp_load_latency;
                 if layout::is_main(addr) {
@@ -664,7 +575,7 @@ impl Fpss {
                 l
             }
             InstClass::FpStore => {
-                stats.fp_mem_ops += 1;
+                charge.stats.fp_mem_ops += 1;
                 debug_assert!(self.pending_stores > 0);
                 self.pending_stores -= 1;
                 1
@@ -689,7 +600,7 @@ impl Fpss {
         let outcome = exec_fp(&inst, bits, entry.int_val, mem)?;
         let done_at = now + u64::from(latency);
         self.busy_until = self.busy_until.max(done_at);
-        trace_event!(tracer, done_at, hart, EventKind::Retire { lane, inst });
+        charge.event(done_at, || EventKind::Retire { lane, inst });
         match outcome {
             Outcome::Fp(value) => {
                 debug_assert_ne!(meta.dst, NO_REG, "fp-result instruction has an fp destination");
@@ -1033,16 +944,59 @@ fn cmp_bits(op: FpCmpOp, fmt: FpFmt, bits: [u64; 3]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Stats;
     use snitch_riscv::ops::FmaOp;
 
-    fn harness() -> (ClusterConfig, Memory, TcdmArbiter, [Ssr; 3], Stats) {
-        let cfg = ClusterConfig::default();
-        let ssrs = [
-            Ssr::new(cfg.ssr_fifo_depth),
-            Ssr::new(cfg.ssr_fifo_depth),
-            Ssr::new(cfg.ssr_fifo_depth),
-        ];
-        (cfg, Memory::new(), TcdmArbiter::new(32), ssrs, Stats::default())
+    /// The cluster-side state one FP subsystem steps against.
+    struct Harness {
+        cfg: ClusterConfig,
+        mem: Memory,
+        arb: TcdmArbiter,
+        ssrs: [Ssr; 3],
+        stats: Stats,
+    }
+
+    impl Harness {
+        fn new(cfg: ClusterConfig) -> Self {
+            let ssrs = [
+                Ssr::new(cfg.ssr_fifo_depth),
+                Ssr::new(cfg.ssr_fifo_depth),
+                Ssr::new(cfg.ssr_fifo_depth),
+            ];
+            Harness {
+                cfg,
+                mem: Memory::new(),
+                arb: TcdmArbiter::new(32),
+                ssrs,
+                stats: Stats::default(),
+            }
+        }
+
+        /// One cycle of `fpss` on hart 0, untraced and unprofiled.
+        fn step(&mut self, fpss: &mut Fpss, now: u64) -> Result<(), SimFault> {
+            self.arb.begin_cycle();
+            let (mut tracer, mut profiler) = (None, None);
+            let mut charge = Charge::new(0, &mut self.stats, &mut tracer, &mut profiler);
+            fpss.step(now, &self.cfg, &mut self.mem, &mut self.arb, &mut self.ssrs, &mut charge)
+        }
+
+        /// Steps `fpss` from cycle 0 until it drains; returns the drain cycle.
+        fn run(&mut self, fpss: &mut Fpss) -> u64 {
+            let mut now = 0;
+            while !fpss.drained(now) {
+                self.step(fpss, now).unwrap();
+                now += 1;
+                assert!(now < 100, "the FP subsystem must drain");
+            }
+            now
+        }
+    }
+
+    /// The write-backs due at `now`, in delivery order.
+    fn due_writebacks(fpss: &mut Fpss, now: u64) -> Vec<IntWriteback> {
+        let mut due = Vec::new();
+        fpss.drain_int_writebacks(now, |wb| due.push(wb));
+        due
     }
 
     fn fp(inst: Inst) -> OffloadEntry {
@@ -1051,8 +1005,8 @@ mod tests {
 
     #[test]
     fn fadd_completes_with_latency() {
-        let (cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig::default());
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.regs[FpReg::FA1.index() as usize] = 2.0f64.to_bits();
         fpss.regs[FpReg::FA2.index() as usize] = 3.0f64.to_bits();
         fpss.offload(fp(Inst::FpOp {
@@ -1062,19 +1016,17 @@ mod tests {
             rs1: FpReg::FA1,
             rs2: FpReg::FA2,
         }));
-        arb.begin_cycle();
-        fpss.step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
-            .unwrap();
+        h.step(&mut fpss, 0).unwrap();
         assert_eq!(f64::from_bits(fpss.reg(FpReg::FA0)), 5.0);
         assert!(!fpss.drained(0), "latency still in flight");
-        assert!(fpss.drained(u64::from(cfg.fpu_lat_muladd)));
-        assert_eq!(stats.fpu_muladd_ops, 1);
+        assert!(fpss.drained(u64::from(h.cfg.fpu_lat_muladd)));
+        assert_eq!(h.stats.fpu_muladd_ops, 1);
     }
 
     #[test]
     fn raw_dependency_stalls_issue() {
-        let (cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig::default());
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.offload(fp(Inst::FpOp {
             op: FpAluOp::Add,
             fmt: FpFmt::D,
@@ -1091,24 +1043,20 @@ mod tests {
         }));
         let mut issue_cycles = Vec::new();
         for now in 0..10u64 {
-            arb.begin_cycle();
-            let before = stats.fpu_busy_cycles;
-            fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
-            )
-            .unwrap();
-            if stats.fpu_busy_cycles > before {
+            let before = h.stats.fpu_busy_cycles;
+            h.step(&mut fpss, now).unwrap();
+            if h.stats.fpu_busy_cycles > before {
                 issue_cycles.push(now);
             }
         }
         assert_eq!(issue_cycles, vec![0, u64::from(ClusterConfig::default().fpu_lat_muladd)]);
-        assert!(stats.fpu_stall_raw > 0);
+        assert!(h.stats.fpu_stall_raw > 0);
     }
 
     #[test]
     fn frep_replays_without_core_issues() {
-        let (cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig::default());
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.regs[FpReg::FA1.index() as usize] = 1.0f64.to_bits();
         // frep.o with rep = 3 (4 total iterations) over a 1-instruction body
         // accumulating fa0 += fa1.
@@ -1123,41 +1071,28 @@ mod tests {
             rs1: FpReg::FA0,
             rs2: FpReg::FA1,
         }));
-        let mut now = 0;
-        while !fpss.drained(now) {
-            arb.begin_cycle();
-            fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
-            )
-            .unwrap();
-            now += 1;
-            assert!(now < 100, "frep must converge");
-        }
+        h.run(&mut fpss);
         assert_eq!(f64::from_bits(fpss.reg(FpReg::FA0)), 4.0);
-        assert_eq!(stats.fp_issued_seq, 3, "three replayed iterations");
-        assert!(stats.seq_active_cycles >= 3);
+        assert_eq!(h.stats.fp_issued_seq, 3, "three replayed iterations");
+        assert!(h.stats.seq_active_cycles >= 3);
     }
 
     #[test]
     fn frep_body_overflow_is_a_fault() {
-        let (mut cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        cfg.sequencer_depth = 2;
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig { sequencer_depth: 2, ..ClusterConfig::default() });
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.offload(OffloadEntry::new(
             Inst::FrepO { rep: IntReg::T0, max_inst: 3, stagger_max: 0, stagger_mask: 0 },
             Some(1),
         ));
-        arb.begin_cycle();
-        let err = fpss
-            .step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
-            .unwrap_err();
+        let err = h.step(&mut fpss, 0).unwrap_err();
         assert!(err.to_string().contains("sequencer depth"));
     }
 
     #[test]
     fn int_writeback_is_delivered_after_latency() {
-        let (cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig::default());
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.regs[FpReg::FA0.index() as usize] = 1.0f64.to_bits();
         fpss.regs[FpReg::FA1.index() as usize] = 2.0f64.to_bits();
         fpss.offload(fp(Inst::FpCmp {
@@ -1167,18 +1102,17 @@ mod tests {
             rs1: FpReg::FA0,
             rs2: FpReg::FA1,
         }));
-        arb.begin_cycle();
-        fpss.step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
-            .unwrap();
-        assert!(fpss.take_int_writebacks(0).is_empty());
-        let wbs = fpss.take_int_writebacks(u64::from(cfg.fpu_lat_short));
+        h.step(&mut fpss, 0).unwrap();
+        assert!(due_writebacks(&mut fpss, 0).is_empty());
+        let wbs = due_writebacks(&mut fpss, u64::from(h.cfg.fpu_lat_short));
         assert_eq!(wbs, vec![IntWriteback { rd: IntReg::A0, value: 1 }]);
+        assert!(due_writebacks(&mut fpss, u64::MAX).is_empty(), "delivered exactly once");
     }
 
     #[test]
     fn copift_ops_stay_in_fp_rf() {
-        let (cfg, mut mem, mut arb, mut ssrs, mut stats) = harness();
-        let mut fpss = Fpss::new(&cfg);
+        let mut h = Harness::new(ClusterConfig::default());
+        let mut fpss = Fpss::new(&h.cfg);
         fpss.regs[FpReg::FA1.index() as usize] = 3.0f64.to_bits();
         fpss.regs[FpReg::FA2.index() as usize] = 7.0f64.to_bits();
         fpss.offload(fp(Inst::CopiftCmp {
@@ -1188,18 +1122,10 @@ mod tests {
             rs2: FpReg::FA2,
         }));
         fpss.offload(fp(Inst::CopiftCvtI2F { from: IntCvt::W, rd: FpReg::FA3, rs1: FpReg::FA0 }));
-        let mut now = 0;
-        while !fpss.drained(now) {
-            arb.begin_cycle();
-            fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
-            )
-            .unwrap();
-            now += 1;
-        }
+        let now = h.run(&mut fpss);
         assert_eq!(fpss.reg(FpReg::FA0), 1, "comparison result as integer bits");
         assert_eq!(f64::from_bits(fpss.reg(FpReg::FA3)), 1.0, "converted to double");
-        assert!(fpss.take_int_writebacks(now).is_empty(), "no integer RF traffic");
+        assert!(due_writebacks(&mut fpss, now).is_empty(), "no integer RF traffic");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 mod block;
+mod charge;
 pub mod cluster;
 pub mod config;
 pub mod core;
@@ -43,15 +44,3 @@ pub use config::{ClusterConfig, SystemConfig};
 pub use error::{RunError, SimFault};
 pub use stats::Stats;
 pub use system::System;
-
-/// Emits a trace event when a tracer is attached. The `$kind` expression is
-/// only evaluated on the traced path, so the untraced hot path pays exactly
-/// one `Option` branch — no event construction, no allocation.
-macro_rules! trace_event {
-    ($tracer:expr, $cycle:expr, $hart:expr, $kind:expr) => {
-        if let Some(t) = $tracer.as_mut() {
-            t.record($cycle, $hart, $kind);
-        }
-    };
-}
-pub(crate) use trace_event;

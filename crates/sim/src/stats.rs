@@ -136,9 +136,10 @@ impl Stats {
     }
 
     /// The counter field tracking `cause` — the single mapping between the
-    /// trace-event stall taxonomy and these counters. The simulator counts
-    /// stalls *through* this (see [`add_stall`](Self::add_stall)), so trace
-    /// attribution and counters agree counter-for-counter by construction.
+    /// trace-event stall taxonomy and these counters. The simulator's single
+    /// charge path books every stall through [`add_stall`](Self::add_stall)
+    /// in the same call that emits the stall event and the profiler charge,
+    /// so trace attribution and counters agree by construction.
     fn stall_field(&mut self, cause: StallCause) -> &mut u64 {
         match cause {
             StallCause::IntRaw => &mut self.stall_int_raw,

@@ -1,0 +1,114 @@
+//! The min-of-N interleaved overhead guard shared by the CI timing gates
+//! (`bench_sim`'s paused-hook guards and `perf-report --overhead-guard`).
+//!
+//! A guard compares the wall time of a *hooked* path (an attached but
+//! disabled observation hook) against the *bare* path. One round times
+//! [`REPEATS`] pairs, alternating which path runs first so host drift
+//! (frequency ramp, cache warm-up) hits both equally, and keeps each path's
+//! minimum. The guard passes on the first round whose hooked minimum is
+//! within [`TOLERANCE`] of the bare one and fails after [`ATTEMPTS`] rounds:
+//! wall-clock noise on a shared host can exceed the tolerance in either
+//! direction, while a real hook cost (an allocation, event construction on
+//! the cold branch) is systematic and fails every round.
+
+use std::time::Duration;
+
+/// Allowed hooked-path slowdown relative to the bare path (2%).
+pub const TOLERANCE: f64 = 1.02;
+/// Measurement rounds before the guard fails.
+pub const ATTEMPTS: usize = 3;
+/// Interleaved measurement pairs per round.
+pub const REPEATS: usize = 5;
+
+/// The per-path minima of one guard round.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Minima {
+    /// Fastest bare-path measurement.
+    pub bare: Duration,
+    /// Fastest hooked-path measurement.
+    pub hooked: Duration,
+    /// The 1-based round these minima come from.
+    pub attempt: usize,
+}
+
+impl Minima {
+    /// The hooked path's overhead over the bare path, in percent.
+    #[must_use]
+    pub fn overhead_pct(&self) -> f64 {
+        (self.hooked.as_secs_f64() / self.bare.as_secs_f64() - 1.0) * 100.0
+    }
+
+    fn within_tolerance(&self) -> bool {
+        self.hooked.as_secs_f64() <= self.bare.as_secs_f64() * TOLERANCE
+    }
+}
+
+/// Runs the guard. `bare` and `hooked` each perform one timed measurement
+/// and return its wall time. Returns the passing round's minima, or the
+/// last round's minima when every round exceeded [`TOLERANCE`].
+pub fn overhead_guard(
+    mut bare: impl FnMut() -> Duration,
+    mut hooked: impl FnMut() -> Duration,
+) -> Result<Minima, Minima> {
+    let mut last = None;
+    for attempt in 1..=ATTEMPTS {
+        let mut m = Minima { bare: Duration::MAX, hooked: Duration::MAX, attempt };
+        for rep in 0..REPEATS {
+            if rep % 2 == 0 {
+                m.bare = m.bare.min(bare());
+                m.hooked = m.hooked.min(hooked());
+            } else {
+                m.hooked = m.hooked.min(hooked());
+                m.bare = m.bare.min(bare());
+            }
+        }
+        if m.within_tolerance() {
+            return Ok(m);
+        }
+        last = Some(m);
+    }
+    Err(last.expect("at least one round"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn equal_paths_pass_on_the_first_round() {
+        let m = overhead_guard(|| Duration::from_millis(10), || Duration::from_millis(10))
+            .expect("equal paths pass");
+        assert_eq!(m.attempt, 1);
+        assert_eq!(m.overhead_pct(), 0.0);
+    }
+
+    #[test]
+    fn a_systematic_overhead_fails_every_round() {
+        let m = overhead_guard(|| Duration::from_millis(100), || Duration::from_millis(103))
+            .expect_err("3% over a 2% budget fails");
+        assert_eq!(m.attempt, ATTEMPTS);
+        assert!((m.overhead_pct() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn minima_absorb_noise_and_runs_alternate() {
+        // The hooked path is slow on its first run only; the bare path's
+        // calls are logged to check the alternation.
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut hooked_runs = 0;
+        let m = overhead_guard(
+            || {
+                order.borrow_mut().push('b');
+                Duration::from_millis(10)
+            },
+            || {
+                order.borrow_mut().push('h');
+                hooked_runs += 1;
+                Duration::from_millis(if hooked_runs == 1 { 50 } else { 10 })
+            },
+        )
+        .expect("a one-off spike is noise");
+        assert_eq!(m.attempt, 1);
+        assert_eq!(order.into_inner().iter().collect::<String>(), "bhhbbhhbbh");
+    }
+}

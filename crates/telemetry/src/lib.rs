@@ -21,7 +21,9 @@
 //! * [`metrics`] — the machine-readable `METRICS.json` sink (JSON-lines)
 //!   plus a dependency-free line validator;
 //! * [`chrome`] — a Chrome trace-event export of host spans (one track per
-//!   worker, built on `snitch_trace::chrome::Doc`, loadable in Perfetto).
+//!   worker, built on `snitch_trace::chrome::Doc`, loadable in Perfetto);
+//! * [`guard`] — the min-of-N interleaved overhead guard the CI timing gates
+//!   share (disabled hook vs bare path, within 2%).
 //!
 //! Telemetry is strictly host-side: it never touches `ProgramKey`,
 //! `ClusterConfig` or `RunRecord` serialization, so a sweep run under
@@ -31,6 +33,7 @@
 
 pub mod chrome;
 pub mod collector;
+pub mod guard;
 pub mod metrics;
 pub mod span;
 pub mod timeline;

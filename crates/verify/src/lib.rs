@@ -1,8 +1,9 @@
 //! Static verification of compiled Snitch programs.
 //!
 //! [`verify`] takes a loaded [`Program`] plus the [`SystemConfig`] it will
-//! run under (cluster shape and cluster count — [`verify_cluster`] is the
-//! single-cluster convenience form), reconstructs the per-hart control-flow
+//! run under (cluster shape and cluster count; a single-cluster
+//! [`ClusterConfig`](snitch_sim::config::ClusterConfig) converts with
+//! `SystemConfig::from`), reconstructs the per-hart control-flow
 //! graph from the decoded text section, runs a forward abstract
 //! interpretation (constant propagation, register-initialization masks, SSR
 //! stream states, barrier counts — see [`interp`]), and evaluates a catalog
@@ -31,7 +32,7 @@
 #![forbid(unsafe_code)]
 
 use snitch_asm::program::Program;
-use snitch_sim::config::{ClusterConfig, SystemConfig};
+use snitch_sim::config::SystemConfig;
 
 pub mod cfg;
 pub mod checks;
@@ -168,14 +169,6 @@ pub fn report(label: &str, diags: &[Diagnostic]) -> String {
         let _ = writeln!(out, "  {d}");
     }
     out
-}
-
-/// Runs every check over `program` as it would execute under a single
-/// cluster of `config` — the pre-[`SystemConfig`] entry point, kept for
-/// callers that think in clusters.
-#[must_use]
-pub fn verify_cluster(program: &Program, config: &ClusterConfig) -> Vec<Diagnostic> {
-    verify(program, &SystemConfig::from(config.clone()))
 }
 
 /// Runs every check over `program` as it would execute under `config` and
@@ -326,6 +319,7 @@ mod tests {
     use super::*;
     use snitch_asm::builder::ProgramBuilder;
     use snitch_riscv::reg::IntReg;
+    use snitch_sim::config::ClusterConfig;
 
     #[test]
     fn trivial_program_is_clean() {
@@ -333,7 +327,7 @@ mod tests {
         b.li(IntReg::A0, 1);
         b.ecall();
         let p = b.build().unwrap();
-        let diags = verify_cluster(&p, &ClusterConfig::default());
+        let diags = verify(&p, &SystemConfig::from(ClusterConfig::default()));
         assert!(!has_errors(&diags), "{diags:?}");
     }
 

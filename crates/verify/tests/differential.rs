@@ -4,9 +4,9 @@
 //! FREP bodies, SSR streams, DMA copies with wait loops and SPMD barriers —
 //! every shape the checks reason about.
 
-use snitch_sim::config::ClusterConfig;
+use snitch_sim::config::{ClusterConfig, SystemConfig};
 use snitch_sim::testing::{observe_with, random_program, Rng};
-use snitch_verify::{error_count, report, verify_cluster as verify};
+use snitch_verify::{error_count, report, verify};
 
 /// 40 seeds across single-core and SPMD shapes: the verifier must report
 /// zero errors, and the simulator must agree by running each program to
@@ -19,7 +19,7 @@ fn verifier_passed_programs_do_not_deadlock() {
         let frags = 3 + (seed % 5) as usize;
         let program = random_program(&mut rng, cores, frags);
         let config = ClusterConfig { cores, ..ClusterConfig::default() };
-        let diags = verify(&program, &config);
+        let diags = verify(&program, &SystemConfig::from(config));
         assert_eq!(
             error_count(&diags),
             0,

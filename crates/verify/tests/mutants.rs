@@ -8,15 +8,15 @@ use snitch_asm::builder::ProgramBuilder;
 use snitch_asm::layout::{TCDM_BASE, TCDM_SIZE};
 use snitch_riscv::csr::SsrCfgWord;
 use snitch_riscv::reg::{FpReg, IntReg};
-use snitch_sim::config::ClusterConfig;
-use snitch_verify::{verify_cluster as verify, CheckId, Severity};
+use snitch_sim::config::{ClusterConfig, SystemConfig};
+use snitch_verify::{verify, CheckId, Severity};
 
 /// Runs the verifier (on a 4-core cluster, so SPMD mutants analyze every
 /// hart) and asserts a finding with exactly `(check, severity)` fired.
 fn assert_caught(b: ProgramBuilder, check: CheckId, severity: Severity) {
     let p = b.build().unwrap();
     let config = ClusterConfig { cores: 4, ..ClusterConfig::default() };
-    let diags = verify(&p, &config);
+    let diags = verify(&p, &SystemConfig::from(config));
     assert!(
         diags.iter().any(|d| d.check == check && d.severity == severity),
         "expected {severity:?} from {check:?}, got: {diags:?}"
