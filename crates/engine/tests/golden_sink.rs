@@ -12,6 +12,9 @@
 //!   stamps and emission order.
 //! * `pi_lcg_copift.folded` — the collapsed flamegraph of a profiled
 //!   single-core run: per-pc issue and stall charges.
+//! * `multi_cluster.{jsonl,csv}` — the result sinks of `gemm_tiled` on
+//!   2- and 8-hart clusters in 1- and 2-cluster systems (barriers, DMA,
+//!   L2 and TCDM arbitration across every hart).
 //!
 //! Every run here must keep producing these bytes exactly. Regenerate (only
 //! for a deliberate, documented format change) with:
@@ -25,7 +28,7 @@ use std::path::PathBuf;
 use snitch_engine::{sink, Engine, JobSpec};
 use snitch_kernels::registry::{Kernel, Variant};
 use snitch_profile::{flame, RegionMap};
-use snitch_sim::config::ClusterConfig;
+use snitch_sim::config::{ClusterConfig, SystemConfig};
 use snitch_trace::text;
 
 /// A fixed batch covering the serialization surface: default configs, a
@@ -64,6 +67,28 @@ fn single_cluster_sink_bytes_match_committed_goldens() {
     assert!(records.iter().all(|r| r.ok), "every golden job validates");
     check_golden("single_cluster.jsonl", &sink::to_jsonl(&records));
     check_golden("single_cluster.csv", &sink::to_csv(&records));
+}
+
+/// `gemm_tiled` at n = 16, both variants, on the 2-core single-cluster
+/// and the 8-core 2-cluster shapes.
+#[test]
+fn multi_cluster_sink_bytes_match_committed_goldens() {
+    let shapes = [(2, 1), (8, 2)];
+    let jobs: Vec<JobSpec> = [Variant::Baseline, Variant::Copift]
+        .into_iter()
+        .flat_map(|variant| {
+            shapes.iter().map(move |&(cores, clusters)| {
+                JobSpec::new(Kernel::GemmTiled, variant, 16, 0).with_config(SystemConfig {
+                    cluster: ClusterConfig { cores, ..ClusterConfig::default() },
+                    clusters,
+                })
+            })
+        })
+        .collect();
+    let records = Engine::new(2).run(&jobs);
+    assert!(records.iter().all(|r| r.ok), "every golden job validates");
+    check_golden("multi_cluster.jsonl", &sink::to_jsonl(&records));
+    check_golden("multi_cluster.csv", &sink::to_csv(&records));
 }
 
 /// The 2-hart text trace: both harts' issue, stall and retire events plus
