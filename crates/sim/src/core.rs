@@ -563,7 +563,7 @@ impl IntCore {
         l0: &mut L0Cache,
         charge: &mut Charge<'_>,
     ) {
-        if l0.fetch(self.pc) {
+        if l0.fetch(self.pc.wrapping_sub(layout::TEXT_BASE) >> 2) {
             charge.stats.l0_hits += 1;
         } else {
             charge.stats.l0_misses += 1;

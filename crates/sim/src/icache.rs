@@ -13,28 +13,21 @@
 //! separately by the core as the branch penalty).
 //!
 //! Implementation: this is queried once per issued instruction, so it sits on
-//! the simulator's hottest path. Residency is an open-addressed,
-//! direct-mapped-with-linear-probing table of pc words (no hasher — pcs are
-//! word-aligned, so `pc >> 2` indexes the table directly), and FIFO order is
-//! a fixed ring of `capacity` slots. Both are allocated once at construction;
-//! `fetch` performs no allocation and no hashing. Behavior (hit/miss per
-//! access, FIFO eviction order) is identical to a set + queue model.
-
-/// Empty-slot sentinel in the probe table. Program counters live at
-/// `TEXT_BASE` and are 4-byte aligned, so `u32::MAX` can never be a real pc.
-const EMPTY: u32 = u32::MAX;
+//! the simulator's hottest path. Entries are keyed by text word index
+//! (`(pc - TEXT_BASE) >> 2`, which the core computes anyway to index its
+//! decoded text), so residency is one flag per word — an O(1) array lookup
+//! with no hashing and no probing — and FIFO order is a fixed ring of
+//! `capacity` slots. `fetch` allocates only the first time it sees a word
+//! past the end of the flag table. Behavior (hit/miss per access, FIFO
+//! eviction order) is identical to a set + queue model.
 
 /// L0 instruction buffer with FIFO replacement.
 #[derive(Clone, Debug)]
 pub struct L0Cache {
     capacity: usize,
-    /// Open-addressed residency table (power-of-two, ≤50% load).
-    table: Vec<u32>,
-    /// `table.len() - 1`, for masking probe indices.
-    mask: usize,
-    /// `32 - log2(table.len())`: selects the high hash bits as the home slot.
-    shift: u32,
-    /// FIFO ring of resident pcs (eviction order).
+    /// Residency flag per text word index.
+    resident: Vec<bool>,
+    /// FIFO ring of resident word indices (eviction order).
     fifo: Vec<u32>,
     head: usize,
     len: usize,
@@ -47,13 +40,10 @@ impl L0Cache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "L0 capacity must be positive");
-        let slots = (capacity * 2).next_power_of_two();
         L0Cache {
             capacity,
-            table: vec![EMPTY; slots],
-            mask: slots - 1,
-            shift: 32 - slots.trailing_zeros(),
-            fifo: vec![EMPTY; capacity],
+            resident: Vec::new(),
+            fifo: vec![0; capacity],
             head: 0,
             len: 0,
             hits: 0,
@@ -61,99 +51,45 @@ impl L0Cache {
         }
     }
 
-    /// Home slot of `pc`: the word index spread by a Fibonacci multiply
-    /// (high bits). Straight-line code occupies *runs* of consecutive pcs,
-    /// so indexing by `(pc >> 2) & mask` would pack them into one contiguous
-    /// cluster and a missing pc adjacent to the run would probe across all
-    /// of it; the multiplicative spread keeps probe chains O(1) at ≤50%
-    /// load.
-    fn slot_of(&self, pc: u32) -> usize {
-        let spread = (pc >> 2).wrapping_mul(0x9E37_79B9);
-        (spread as usize >> self.shift) & self.mask
-    }
-
-    fn contains(&self, pc: u32) -> bool {
-        let mut i = self.slot_of(pc);
-        loop {
-            let e = self.table[i];
-            if e == pc {
-                return true;
-            }
-            if e == EMPTY {
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn insert(&mut self, pc: u32) {
-        let mut i = self.slot_of(pc);
-        while self.table[i] != EMPTY {
-            i = (i + 1) & self.mask;
-        }
-        self.table[i] = pc;
-    }
-
-    /// Removes `pc` with backward-shift deletion, preserving the probe
-    /// invariant (every entry reachable from its home slot) without
-    /// tombstones.
-    fn remove(&mut self, pc: u32) {
-        let mut i = self.slot_of(pc);
-        while self.table[i] != pc {
-            debug_assert_ne!(self.table[i], EMPTY, "removing a non-resident pc");
-            i = (i + 1) & self.mask;
-        }
-        self.table[i] = EMPTY;
-        let mut j = (i + 1) & self.mask;
-        while self.table[j] != EMPTY {
-            let home = self.slot_of(self.table[j]);
-            // Shift back iff the hole lies within this entry's probe path:
-            // cyclically, home..=j must contain i.
-            if (j.wrapping_sub(home) & self.mask) >= (j.wrapping_sub(i) & self.mask) {
-                self.table[i] = self.table[j];
-                self.table[j] = EMPTY;
-                i = j;
-            }
-            j = (j + 1) & self.mask;
-        }
-    }
-
     /// Restores the just-constructed empty state, reusing both tables — the
     /// allocation-free equivalent of `L0Cache::new(capacity)`.
     pub fn reset(&mut self) {
-        self.table.fill(EMPTY);
+        self.resident.fill(false);
         self.head = 0;
         self.len = 0;
         self.hits = 0;
         self.misses = 0;
     }
 
-    /// Records a fetch of the instruction at `pc`; returns whether it hit.
-    pub fn fetch(&mut self, pc: u32) -> bool {
-        debug_assert_ne!(pc, EMPTY);
-        if self.contains(pc) {
+    /// Records a fetch of the instruction at text word index `word`;
+    /// returns whether it hit.
+    pub fn fetch(&mut self, word: u32) -> bool {
+        let w = word as usize;
+        if self.resident.get(w).copied().unwrap_or(false) {
             self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            if self.len == self.capacity {
-                let evicted = self.fifo[self.head];
-                self.head += 1;
-                if self.head == self.capacity {
-                    self.head = 0;
-                }
-                self.len -= 1;
-                self.remove(evicted);
-            }
-            let mut tail = self.head + self.len;
-            if tail >= self.capacity {
-                tail -= self.capacity;
-            }
-            self.fifo[tail] = pc;
-            self.len += 1;
-            self.insert(pc);
-            false
+            return true;
         }
+        self.misses += 1;
+        if self.len == self.capacity {
+            let evicted = self.fifo[self.head];
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            self.len -= 1;
+            self.resident[evicted as usize] = false;
+        }
+        let mut tail = self.head + self.len;
+        if tail >= self.capacity {
+            tail -= self.capacity;
+        }
+        self.fifo[tail] = word;
+        self.len += 1;
+        if w >= self.resident.len() {
+            self.resident.resize(w + 1, false);
+        }
+        self.resident[w] = true;
+        false
     }
 
     /// Fetches served from the buffer.
@@ -210,9 +146,9 @@ mod tests {
         assert_eq!(c.hits(), 16);
     }
 
-    /// The open-addressed implementation must agree access-for-access with
-    /// the obvious set + FIFO-queue reference model on adversarial patterns
-    /// (colliding home slots, re-fetch after eviction, capacity churn).
+    /// The flag-table implementation must agree access-for-access with the
+    /// obvious set + FIFO-queue reference model on adversarial patterns
+    /// (re-fetch after eviction, capacity churn, table growth).
     #[test]
     fn matches_reference_model_on_pseudo_random_patterns() {
         use std::collections::{HashSet, VecDeque};
