@@ -8,16 +8,20 @@
 //! parallelism, so each line records the *effective* worker count, and a
 //! pool that clamps to an already-measured size is not measured twice.
 //! Writes one JSON line per pool to `BENCH_sim.json` in the current
-//! directory.
+//! directory, followed by one single-worker `multicore` line: `gemm_tiled`
+//! and `pi_lcg_par` on an 8-core cluster at smoke size, both variants —
+//! the shapes that run on the block burst only since it drives every hart.
 //!
 //! Three guards gate the CI smoke step:
 //!
-//! * **Throughput-regression guard**: the single-worker cycles/s must not
-//!   drop more than 20% below the committed `BENCH_sim.json` baseline (the
-//!   workers-1 line of the file in the current directory, read before it is
-//!   overwritten). The comparison is refused when that line measured a
-//!   different workload (another job count or simulated-cycle total).
-//!   Wall-clock noise is damped by taking the fastest of several passes.
+//! * **Throughput-regression guard**: the single-worker cycles/s of the
+//!   smoke batch and of the multicore batch must each not drop more than
+//!   20% below the committed `BENCH_sim.json` baseline (the workers-1 line
+//!   of the same workload in the file in the current directory, read
+//!   before it is overwritten). The comparison is refused when that line
+//!   measured a different workload (another job count or simulated-cycle
+//!   total). Wall-clock noise is damped by taking the fastest of several
+//!   passes.
 //! * **Tracing overhead guard**: re-running the batch with the trace hook
 //!   compiled in and *attached but disabled* (a paused `Tracer`, the worst
 //!   case for the hook's branches) must stay within 2% of the untraced
@@ -35,7 +39,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use snitch_asm::program::Program;
-use snitch_engine::{job, Engine};
+use snitch_engine::{job, Engine, JobSpec};
+use snitch_kernels::registry::{Kernel, Variant};
 use snitch_profile::Profiler;
 use snitch_sim::cluster::Cluster;
 use snitch_sim::config::ClusterConfig;
@@ -123,8 +128,24 @@ const REGRESSION_TOLERANCE: f64 = 0.80;
 /// Timed passes per pool; each pool records its fastest.
 const REGRESSION_ATTEMPTS: usize = 3;
 
+/// The multicore batch: the data-parallel and the tiled kernel on one
+/// 8-core cluster at their smoke points, both variants.
+fn multicore_jobs() -> Vec<JobSpec> {
+    let config = ClusterConfig { cores: 8, ..ClusterConfig::default() };
+    let mut jobs = Vec::new();
+    for kernel in [Kernel::GemmTiled, Kernel::PiLcgPar] {
+        let (n, block) = kernel.smoke_point();
+        for variant in Variant::all() {
+            jobs.push(JobSpec::new(kernel, variant, n, block).with_config(config.clone()));
+        }
+    }
+    jobs
+}
+
 /// One measured result line for a worker-pool size.
 struct Measurement {
+    /// The batch's name (`smoke` or `multicore`).
+    workload: &'static str,
     /// The engine's effective worker count (the request clamped to the
     /// host's parallelism).
     workers: usize,
@@ -145,10 +166,11 @@ impl Measurement {
     /// [`committed_baseline`] of future checkouts parses it.
     fn json_line(&self, scaling_vs_workers1: Option<f64>) -> String {
         let mut line = format!(
-            "{{\"benchmark\":\"sim\",\"workload\":\"smoke\",\"jobs\":{},\"workers\":{},\
+            "{{\"benchmark\":\"sim\",\"workload\":\"{}\",\"jobs\":{},\"workers\":{},\
              \"simulated_instructions\":{},\"simulated_cycles\":{},\
              \"wall_seconds\":{:.6},\"instructions_per_second\":{:.0},\
              \"cycles_per_second\":{:.0}}}",
+            self.workload,
             self.jobs,
             self.workers,
             self.instructions,
@@ -165,14 +187,15 @@ impl Measurement {
     }
 }
 
-/// Times one engine pass over the warm smoke batch.
-fn measure(engine: &Engine, jobs: &[snitch_engine::JobSpec]) -> Measurement {
+/// Times one engine pass over a warm batch.
+fn measure(engine: &Engine, workload: &'static str, jobs: &[JobSpec]) -> Measurement {
     let t0 = Instant::now();
     let records = engine.run(jobs);
     let wall = t0.elapsed().as_secs_f64();
     let failed = records.iter().filter(|r| !r.ok).count();
-    assert_eq!(failed, 0, "smoke batch must validate before its timing means anything");
+    assert_eq!(failed, 0, "{workload} batch must validate before its timing means anything");
     Measurement {
+        workload,
         workers: engine.workers(),
         jobs: records.len(),
         instructions: records.iter().map(|r| r.instructions).sum(),
@@ -184,14 +207,14 @@ fn measure(engine: &Engine, jobs: &[snitch_engine::JobSpec]) -> Measurement {
 /// The fastest of [`REGRESSION_ATTEMPTS`] passes: on a noisy host a single
 /// timing window over- or under-states reproducible throughput by tens of
 /// percent in either direction.
-fn fastest(engine: &Engine, jobs: &[snitch_engine::JobSpec]) -> Measurement {
+fn fastest(engine: &Engine, workload: &'static str, jobs: &[JobSpec]) -> Measurement {
     (0..REGRESSION_ATTEMPTS)
-        .map(|_| measure(engine, jobs))
+        .map(|_| measure(engine, workload, jobs))
         .min_by(|a, b| a.wall.total_cmp(&b.wall))
         .expect("at least one pass")
 }
 
-/// The workers-1 line of a committed `BENCH_sim.json`: the workload it
+/// A workers-1 line of a committed `BENCH_sim.json`: the workload it
 /// measured and the throughput it recorded.
 struct Baseline {
     jobs: usize,
@@ -206,11 +229,14 @@ fn json_number(line: &str, key: &str) -> Option<f64> {
     digits.parse().ok()
 }
 
-/// Extracts the workers-1 entry from a committed `BENCH_sim.json`
-/// (JSON-lines). Returns `None` when the file is absent or unparseable — a
-/// fresh checkout must not fail its first benchmark run.
-fn committed_baseline(contents: &str) -> Option<Baseline> {
-    let line = contents.lines().find(|l| json_number(l, "workers") == Some(1.0))?;
+/// Extracts the workers-1 entry of `workload` from a committed
+/// `BENCH_sim.json` (JSON-lines). Returns `None` when the file, or the
+/// workload's line, is absent or unparseable — a fresh checkout must not
+/// fail its first benchmark run.
+fn committed_baseline(contents: &str, workload: &str) -> Option<Baseline> {
+    let tag = format!("\"workload\":\"{workload}\"");
+    let line =
+        contents.lines().find(|l| l.contains(&tag) && json_number(l, "workers") == Some(1.0))?;
     Some(Baseline {
         jobs: json_number(line, "jobs")? as usize,
         cycles: json_number(line, "simulated_cycles")? as u64,
@@ -220,14 +246,15 @@ fn committed_baseline(contents: &str) -> Option<Baseline> {
 
 /// The throughput-regression guard against the committed baseline.
 fn regression_guard(best: &Measurement, baseline: Option<&Baseline>) {
+    let workload = best.workload;
     let Some(base) = baseline else {
-        eprintln!("bench_sim: no committed baseline found; regression guard skipped");
+        eprintln!("bench_sim: no committed {workload} baseline found; regression guard skipped");
         return;
     };
     if (base.jobs, base.cycles) != (best.jobs, best.cycles) {
         eprintln!(
-            "bench_sim: regression guard refused — the committed baseline measured {} jobs \
-             and {} simulated cycles, this batch is {} jobs and {} cycles; commit the \
+            "bench_sim: {workload} regression guard refused — the committed baseline measured \
+             {} jobs and {} simulated cycles, this batch is {} jobs and {} cycles; commit the \
              regenerated BENCH_sim.json",
             base.jobs, base.cycles, best.jobs, best.cycles,
         );
@@ -236,14 +263,14 @@ fn regression_guard(best: &Measurement, baseline: Option<&Baseline>) {
     let (rate, base_rate) = (best.cycles_per_second(), base.cycles_per_second);
     assert!(
         rate >= base_rate * REGRESSION_TOLERANCE,
-        "simulator throughput regressed: {:.2} M cycles/s is more than {:.0}% below the \
-         committed baseline of {:.2} M cycles/s (BENCH_sim.json)",
+        "simulator throughput regressed on the {workload} batch: {:.2} M cycles/s is more \
+         than {:.0}% below the committed baseline of {:.2} M cycles/s (BENCH_sim.json)",
         rate / 1e6,
         (1.0 - REGRESSION_TOLERANCE) * 100.0,
         base_rate / 1e6,
     );
     eprintln!(
-        "bench_sim: regression guard ok — {:.2} M cycles/s vs committed {:.2} M",
+        "bench_sim: {workload} regression guard ok — {:.2} M cycles/s vs committed {:.2} M",
         rate / 1e6,
         base_rate / 1e6,
     );
@@ -253,13 +280,12 @@ fn main() {
     // The batch is fixed (built-in catalog only, deterministic order), so
     // runs are comparable across commits.
     let jobs = job::smoke();
-    let baseline =
-        std::fs::read_to_string("BENCH_sim.json").ok().as_deref().and_then(committed_baseline);
+    let committed = std::fs::read_to_string("BENCH_sim.json").unwrap_or_default();
 
     let engine1 = Engine::new(1);
     let _ = engine1.run(&jobs); // warm-up: compile every program into the cache
-    let best = fastest(&engine1, &jobs);
-    regression_guard(&best, baseline.as_ref());
+    let best = fastest(&engine1, "smoke", &jobs);
+    regression_guard(&best, committed_baseline(&committed, "smoke").as_ref());
 
     // Multi-worker entries: same batch, bigger pools, so the perf
     // trajectory records scaling alongside the per-core number.
@@ -284,11 +310,11 @@ fn main() {
         let mut m: Option<Measurement> = None;
         let mut base1: Option<Measurement> = None;
         for _ in 0..REGRESSION_ATTEMPTS {
-            let pool = measure(&engine, &jobs);
+            let pool = measure(&engine, "smoke", &jobs);
             if m.as_ref().is_none_or(|best| pool.wall < best.wall) {
                 m = Some(pool);
             }
-            let one = measure(&engine1, &jobs);
+            let one = measure(&engine1, "smoke", &jobs);
             if base1.as_ref().is_none_or(|best| one.wall < best.wall) {
                 base1 = Some(one);
             }
@@ -314,6 +340,14 @@ fn main() {
         }
         lines.push(m.json_line(Some(ratio)));
     }
+
+    // The multicore line: single worker, after the smoke lines (older
+    // checkouts read the first workers-1 line as the smoke baseline).
+    let multicore = multicore_jobs();
+    let _ = engine1.run(&multicore);
+    let best_multicore = fastest(&engine1, "multicore", &multicore);
+    regression_guard(&best_multicore, committed_baseline(&committed, "multicore").as_ref());
+    lines.push(best_multicore.json_line(None));
 
     let json = lines.join("\n") + "\n";
     std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");

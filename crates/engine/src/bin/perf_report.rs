@@ -46,6 +46,8 @@ struct Profile {
     workers: usize,
     wall_ns: u64,
     cycles: u64,
+    /// Cycles summed over every job's clusters (the burst's denominator).
+    cluster_cycles: u64,
     /// Cycles the simulator executed on its block-compiled burst path.
     replayed: u64,
     report: Report,
@@ -56,12 +58,12 @@ impl Profile {
         self.cycles as f64 / (self.wall_ns as f64 / 1e9)
     }
 
-    /// Fraction of simulated cycles served by the block-compiled burst.
+    /// Fraction of the clusters' cycles served by the block-compiled burst.
     fn burst_frac(&self) -> f64 {
-        if self.cycles == 0 {
+        if self.cluster_cycles == 0 {
             0.0
         } else {
-            self.replayed as f64 / self.cycles as f64
+            self.replayed as f64 / self.cluster_cycles as f64
         }
     }
 }
@@ -123,9 +125,11 @@ fn profile(jobs: &[JobSpec], workers: usize) -> Profile {
     let records = engine.run_with(jobs, &tel);
     let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let cycles = records.iter().map(|r| r.cycles).sum();
+    let cluster_cycles = records.iter().map(|r| r.cluster_cycles).sum();
     let replayed = records.iter().map(|r| r.block_replayed_cycles).sum();
     let workers = engine.workers();
-    Profile { workers, wall_ns, cycles, replayed, report: Report::new(&tel.spans(), wall_ns) }
+    let report = Report::new(&tel.spans(), wall_ns);
+    Profile { workers, wall_ns, cycles, cluster_cycles, replayed, report }
 }
 
 /// The "where did the speedup go" comparison of the base profile and the
@@ -314,7 +318,7 @@ fn main() -> ExitCode {
             p.workers,
             p.cps(),
         ));
-        metrics_out.push_str(&metrics::render_burst(p.workers, p.cycles, p.replayed));
+        metrics_out.push_str(&metrics::render_burst(p.workers, p.cluster_cycles, p.replayed));
     }
     debug_assert!(metrics::validate(&metrics_out).is_ok());
 

@@ -50,6 +50,12 @@ pub struct RunRecord {
     /// never serialized: it describes the simulator run, not the simulated
     /// machine, and would break byte-identical sweep output across hosts.
     pub block_replayed_cycles: u64,
+    /// Cycles summed over the system's clusters (host observability, set
+    /// alongside `block_replayed_cycles`, which is a per-cluster sum too).
+    /// `cycles` is the maximum over clusters — the system's elapsed time —
+    /// so on a multi-cluster system this is the denominator of the burst
+    /// engagement, not `cycles`. Never serialized.
+    pub cluster_cycles: u64,
     /// Static-verifier findings for the job's program (shared across every
     /// job built from the same cached program). Like `trace`, never
     /// serialized into the line sinks — render with `snitch_verify::report`.
@@ -75,6 +81,7 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
+            cluster_cycles: 0,
             diagnostics: std::sync::Arc::new(Vec::new()),
         }
     }
@@ -111,7 +118,20 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
+            cluster_cycles: 0,
             diagnostics: std::sync::Arc::new(Vec::new()),
+        }
+    }
+
+    /// Fraction of the clusters' cycles served by the simulator's block
+    /// burst: `block_replayed_cycles / cluster_cycles` (0 when no cycles
+    /// were recorded). At most 1 at any system shape.
+    #[must_use]
+    pub fn burst_engagement(&self) -> f64 {
+        if self.cluster_cycles == 0 {
+            0.0
+        } else {
+            self.block_replayed_cycles as f64 / self.cluster_cycles as f64
         }
     }
 

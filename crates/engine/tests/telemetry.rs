@@ -139,3 +139,19 @@ fn metrics_of_a_real_batch_validate_and_balance() {
         assert!(w.startup_ns() + w.gap_ns() + w.barrier_ns() <= w.idle_ns() + 1);
     }
 }
+
+/// Burst engagement is taken over the clusters' summed cycles, the same
+/// sum `block_replayed_cycles` is, so it stays a fraction at every
+/// (cores × clusters) shape — dividing by the system's elapsed cycles (the
+/// maximum over clusters) read 198% and 396% on the 2- and 4-cluster rows.
+#[test]
+fn burst_engagement_is_a_fraction_on_every_scaling_grid_row() {
+    let records = Engine::new(2).run(&job::scaling_grid_default());
+    for record in &records {
+        let label = record.job.label();
+        assert!(record.ok, "{label}: {:?}", record.error);
+        assert!(record.cluster_cycles >= record.cycles, "{label}: per-cluster sum");
+        let engagement = record.burst_engagement();
+        assert!((0.0..=1.0).contains(&engagement), "{label}: engagement {engagement}");
+    }
+}

@@ -14,10 +14,9 @@
 //! The cache is keyed purely by pc: entry `i` corresponds to
 //! `TEXT_BASE + 4*i`, in lockstep with `Cluster::text`. It is rebuilt by
 //! `load_program` and cleared by `reset` (text is immutable between loads,
-//! so there is no other invalidation source). All *dynamic* keying —
-//! sequencer and SSR state, DMA activity, barrier occupancy — lives in the
-//! burst entry guards, which fall back to the stepper whenever any of it is
-//! live.
+//! so there is no other invalidation source). Nothing *dynamic* — sequencer
+//! and SSR state, DMA activity, barrier occupancy — is keyed here: the
+//! burst loop steps those units every cycle exactly as the stepper does.
 
 use snitch_asm::layout;
 use snitch_riscv::csr::CSR_FPU_FENCE;
@@ -100,8 +99,9 @@ pub(crate) enum BlockOp {
     },
     /// The canonical FPU fence (`csrrs x0, fpu_fence, x0`): executes through
     /// the stepper like [`Generic`](Self::Generic), but while the FP
-    /// subsystem has queued work the burst loop recognizes that the only
-    /// possible outcome is one Fence stall and skips the delegated call.
+    /// subsystem has queued work `IntCore::step_block` recognizes that the
+    /// only possible outcome is one Fence stall and skips the delegated
+    /// call.
     FenceWait,
     /// Delegated to `IntCore::step` (CSR, SSR config, DMA, unknown ops).
     Generic,

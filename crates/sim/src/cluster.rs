@@ -3,9 +3,9 @@
 use snitch_asm::program::Program;
 use snitch_profile::Profiler;
 use snitch_riscv::reg::{FpReg, IntReg};
-use snitch_trace::{EventKind, StallCause, TraceEvent, Tracer, CLUSTER_HART};
+use snitch_trace::{EventKind, TraceEvent, Tracer, CLUSTER_HART};
 
-use crate::block::{BlockCache, BlockOp};
+use crate::block::BlockCache;
 use crate::charge::Charge;
 use crate::config::ClusterConfig;
 use crate::core::{Decoded, IntCore};
@@ -410,9 +410,9 @@ impl Cluster {
 
     /// Enables or disables the block-compiled fast path (on by default).
     ///
-    /// With block compilation enabled, `run` executes single-hart stretches
-    /// through pre-lowered micro-ops in a tight burst loop instead of the
-    /// generic all-units stepper (see `DESIGN.md` §15); results, [`Stats`]
+    /// With block compilation enabled, `run` drives every hart through
+    /// pre-lowered micro-ops in a tight burst loop instead of the generic
+    /// all-units stepper (see `DESIGN.md` §15); results, [`Stats`]
     /// and error cycles are bit-identical either way — the force-stepped
     /// mode exists as the reference for the differential suite in
     /// `tests/block_compile.rs`. [`reset`](Self::reset) restores the
@@ -606,13 +606,10 @@ impl Cluster {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(RunError::Timeout { cycles: self.cycle });
             }
-            // Block burst: a lone running hart with everything else parked
-            // executes through the pre-lowered micro-ops until an exit
-            // condition hands control back here.
-            if let Some(hart) = self.block_eligible_hart() {
-                if self.block_burst(hart)? {
-                    continue;
-                }
+            // Block burst: every hart executes through the pre-lowered
+            // micro-ops until an exit condition hands control back here.
+            if self.block_eligible() && self.block_burst()? {
+                continue;
             }
             // Quiescent skip: when every unit is provably silent, jump the
             // clock straight to the next wake event. Clamped to the timeout
@@ -673,177 +670,156 @@ impl Cluster {
         Ok(())
     }
 
-    /// The single hart a block burst may drive this cycle, or `None` when
-    /// any entry guard fails. The burst replays pre-lowered micro-ops for
-    /// exactly one running hart, so it engages only when every other unit is
-    /// provably a per-cycle no-op: one non-halted hart, every halted hart
-    /// parked (idle FP subsystem, quiescent streamers — the stepper's own
-    /// skip condition), nobody at the barrier, the DMA engine idle, and no
-    /// recording tracer attached (the burst books issues and stalls through
-    /// the same charge path, but skips silent windows and quiescent streamers
-    /// and so never emits the stepper's per-cycle SSR and cluster events).
-    fn block_eligible_hart(&self) -> Option<usize> {
-        if !self.block
-            || self.barrier_waiting_count != 0
-            || self.units.len() - self.halted_count != 1
-            || !self.dma.idle()
-            || self.tracer.as_ref().is_some_and(Tracer::is_recording)
-        {
-            return None;
-        }
-        let mut running = None;
-        for (h, unit) in self.units.iter().enumerate() {
-            if !unit.core.halted() {
-                running = Some(h);
-            } else if !unit.fpss.idle_now() || !unit.ssrs.iter().all(Ssr::quiescent) {
-                return None;
-            }
-        }
-        running
+    /// The block-burst entry gate: block compilation on and no recording
+    /// tracer attached (the burst books issues and stalls through the same
+    /// charge path, but skips silent harts, idle FP subsystems and quiescent
+    /// streamers and so never emits the stepper's per-cycle SSR and cluster
+    /// events). A paused tracer or a profiler keeps the burst engaged.
+    fn block_eligible(&self) -> bool {
+        self.block && !self.tracer.as_ref().is_some_and(Tracer::is_recording)
     }
 
-    /// Runs `hart` in a burst: the per-cycle loop specialized to one running
-    /// hart and driven by the block cache, with the other units statically
-    /// proven idle by [`block_eligible_hart`](Self::block_eligible_hart).
-    /// Exits back to the generic loop at halt, DMA activation, a fault, the
-    /// timeout boundary, or [`BLOCK_STUCK_EXIT`] progress-free cycles.
-    /// Returns whether any cycles elapsed (`false` means the caller must
-    /// fall through to the generic loop to guarantee forward progress).
-    fn block_burst(&mut self, hart: usize) -> Result<bool, RunError> {
+    /// Runs every hart in a burst: the per-cycle loop of
+    /// [`step_units`](Self::step_units) in the same order — arbiter cycle,
+    /// then hart by hart write-back drain, issue, FP subsystem and
+    /// streamers, then the DMA engine, then the barrier release — but
+    /// issuing through the block cache and skipping every call that is
+    /// provably a no-op: harts that are *silent* (halted or inside their
+    /// `stall_until` window, with an idle FP subsystem and quiescent
+    /// streamers), idle FP subsystems, quiescent streamers and an idle DMA
+    /// engine. A cycle on which every hart is silent, the DMA engine idle
+    /// and nobody waits at the barrier jumps straight to the earliest
+    /// resume cycle.
+    ///
+    /// Exits back to the generic loop when every hart has halted, on a
+    /// fault, at the timeout boundary, or after [`BLOCK_STUCK_EXIT`]
+    /// progress-free cycles. Returns whether any cycles elapsed (`false`
+    /// means the caller must fall through to the generic loop to guarantee
+    /// forward progress).
+    fn block_burst(&mut self) -> Result<bool, RunError> {
         let start = self.cycle;
         let max_cycles = self.cfg.max_cycles;
         let mut now = start;
         let mut last_progress = self.last_progress_cycle;
-        let mut new_halts = 0usize;
+        let mut halted_count = self.halted_count;
+        let mut barrier_waiting = self.barrier_waiting_count;
         let mut fault = None;
-        {
-            let Cluster {
-                cfg,
-                text,
-                units,
-                dma,
-                mem,
-                arb,
-                tcdm_dma_accesses,
-                blocks,
-                tracer,
-                profiler,
-                ..
-            } = self;
-            let CoreUnit { core, fpss, ssrs, l0, stats } = &mut units[hart];
-            let hart_u8 = core.hart_id() as u8;
-            let mut charge = Charge::new(hart_u8, stats, tracer, profiler);
-            loop {
-                if now >= max_cycles || now - last_progress > BLOCK_STUCK_EXIT {
-                    break;
-                }
-                let fp_quiet = fpss.idle_now();
-                // Silent window: with the FP subsystem idle and the
-                // streamers quiescent, a stalled core makes every call
-                // below a no-op — jump straight to the resume cycle
-                // (clamped so the stuck-exit and timeout boundaries fire
-                // at exactly the cycles the checks above would see).
-                if fp_quiet && core.stall_until() > now && ssrs.iter().all(Ssr::quiescent) {
-                    now = core
-                        .stall_until()
-                        .min(max_cycles)
-                        .min(last_progress + BLOCK_STUCK_EXIT + 1);
+        let Cluster {
+            cfg,
+            text,
+            units,
+            dma,
+            mem,
+            arb,
+            tcdm_dma_accesses,
+            blocks,
+            tracer,
+            profiler,
+            ..
+        } = self;
+        let cores = units.len();
+        'cycles: while halted_count < cores {
+            if now >= max_cycles || now - last_progress > BLOCK_STUCK_EXIT {
+                break;
+            }
+            arb.begin_cycle();
+            let mut progressed = false;
+            // Earliest resume cycle over the running harts while every
+            // hart seen so far is silent; `None` once one acted.
+            let mut silent_until = Some(u64::MAX);
+            for unit in units.iter_mut() {
+                let CoreUnit { core, fpss, ssrs, l0, stats } = unit;
+                let core_silent = core.halted() || core.stall_until() > now;
+                if core_silent && fpss.idle_now() && ssrs.iter().all(Ssr::quiescent) {
+                    if !core.halted() {
+                        silent_until = silent_until.map(|w| w.min(core.stall_until()));
+                    }
                     continue;
                 }
-                // Pre-lowered pc-relative values assume 4-byte alignment;
-                // a misaligned jump target is the stepper's problem.
-                if core.pc() & 3 != 0 {
-                    break;
-                }
-                arb.begin_cycle();
-                let issued_before = issue_work(charge.stats);
-                if !fp_quiet {
-                    fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
-                }
-                if core.stall_until() <= now {
-                    // A core at the canonical FPU fence with FP work still
-                    // queued (`!fp_quiet` implies `!drained`) can only lose
-                    // the slot to a Fence stall: book the stall directly
-                    // instead of the delegated stepper call. (`x0` carries
-                    // no hazards and the write-back claim prune is lazy.)
-                    let idx = (core.pc().wrapping_sub(snitch_asm::layout::TEXT_BASE) / 4) as usize;
-                    if !fp_quiet
-                        && blocks.ops().get(idx).is_some_and(|b| matches!(b.op, BlockOp::FenceWait))
-                    {
-                        charge.stall(now, core.pc(), StallCause::Fence, 1);
-                    } else {
-                        let r = core.step_block(
-                            now,
-                            cfg,
-                            text,
-                            blocks.ops(),
-                            l0,
-                            mem,
-                            arb,
-                            fpss,
-                            ssrs,
-                            dma,
-                            &mut charge,
-                        );
-                        if core.halted() {
-                            new_halts += 1;
-                        }
-                        if let Err(e) = r {
-                            fault = Some(e);
-                            break;
-                        }
+                silent_until = None;
+                let issued_before = issue_work(stats);
+                fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
+                let hart = core.hart_id() as u8;
+                let mut charge = Charge::new(hart, stats, tracer, profiler);
+                if !core_silent {
+                    let was_waiting = core.barrier_waiting();
+                    let r = core.step_block(
+                        now,
+                        cfg,
+                        text,
+                        blocks.ops(),
+                        l0,
+                        mem,
+                        arb,
+                        fpss,
+                        ssrs,
+                        dma,
+                        &mut charge,
+                    );
+                    halted_count += usize::from(core.halted());
+                    barrier_waiting += usize::from(!was_waiting && core.barrier_waiting());
+                    if let Err(e) = r {
+                        fault = Some(e);
+                        break 'cycles;
                     }
                 }
-                // All other harts are halted, so a barrier arrival releases
-                // in the same cycle (net zero occupancy, like the stepper).
-                if core.barrier_waiting() {
-                    core.release_barrier();
-                }
-                // Re-checked after the issue: a just-offloaded op must step
+                // Checked after the issue: a just-offloaded op must step
                 // this cycle. When still idle, `step` is a pure no-op.
                 if !fpss.idle_now() {
                     if let Err(e) = fpss.step(now, cfg, mem, arb, ssrs, &mut charge) {
                         fault = Some(e);
-                        break;
+                        break 'cycles;
                     }
                 }
                 for (i, ssr) in ssrs.iter_mut().enumerate() {
                     if ssr.quiescent() {
                         continue;
                     }
-                    let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart_u8, i as u8));
+                    let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
                     charge.stats.tcdm_ssr_accesses += u64::from(accesses);
-                    if accesses > 0 {
-                        last_progress = now + 1;
-                    }
+                    progressed |= accesses > 0;
                     if ssr.armed() {
                         charge.stats.ssr_active_cycles[i] += 1;
                     }
                     charge.stats.ssr_beats[i] = ssr.beats();
                 }
-                let mut progressed = issue_work(charge.stats) != issued_before;
-                let dma_active = !dma.idle();
-                if dma_active {
-                    // A transfer the core just enqueued has moved no beats
-                    // yet, so reading the counter here still sees the
-                    // cycle's starting value.
-                    let dma_beats_before = dma.beats();
-                    let dma_accesses = dma.step(mem, arb);
-                    *tcdm_dma_accesses += u64::from(dma_accesses);
-                    progressed |= dma.beats() != dma_beats_before;
+                progressed |= issue_work(charge.stats) != issued_before;
+            }
+            if !dma.idle() {
+                silent_until = None;
+                let dma_beats_before = dma.beats();
+                *tcdm_dma_accesses += u64::from(dma.step(mem, arb));
+                progressed |= dma.beats() != dma_beats_before;
+            }
+            if barrier_waiting > 0 && barrier_waiting + halted_count == cores {
+                for unit in units.iter_mut() {
+                    if unit.core.barrier_waiting() {
+                        unit.core.release_barrier();
+                    }
                 }
-                now += 1;
-                if progressed {
-                    last_progress = now;
+                barrier_waiting = 0;
+            }
+            match silent_until {
+                // Nothing acted and nothing can until the earliest resume:
+                // jump there, clamped so the stuck-exit and timeout
+                // boundaries fire at exactly the cycles the checks above
+                // would see. (A silent cycle makes no progress and leaves
+                // nobody at the barrier.)
+                Some(wake) if barrier_waiting == 0 => {
+                    now = wake.min(max_cycles).min(last_progress + BLOCK_STUCK_EXIT + 1);
                 }
-                if core.halted() || dma_active {
-                    break;
+                _ => {
+                    now += 1;
+                    if progressed {
+                        last_progress = now;
+                    }
                 }
             }
         }
         self.cycle = now;
         self.last_progress_cycle = last_progress;
-        self.halted_count += new_halts;
+        self.halted_count = halted_count;
+        self.barrier_waiting_count = barrier_waiting;
         self.block_replayed_cycles += now - start;
         match fault {
             Some(e) => Err(RunError::Fault(e)),

@@ -698,16 +698,32 @@ impl IntCore {
     ) -> Result<(), SimFault> {
         use crate::block::{BlockOp, OffloadVal};
         debug_assert!(!self.halted && self.stall_until <= now);
+        // Pre-lowered pc-relative values assume a word-aligned pc; a
+        // misaligned jump target is the stepper's problem.
+        if self.pc & 3 != 0 {
+            return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
+        }
         let idx = (self.pc.wrapping_sub(layout::TEXT_BASE) / 4) as usize;
         let Some(b) = blocks.get(idx) else {
             return Err(SimFault::new(format!("pc {:#010x} outside text section", self.pc)));
         };
         let b = *b;
-        // CSR (barrier, fences, SSR enable), SSR-config and DMA micro-ops
-        // keep their stateful semantics by delegating to the reference
-        // stepper, which redoes its own housekeeping and hazard scan.
-        if matches!(b.op, BlockOp::Generic | BlockOp::FenceWait) {
-            return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
+        match b.op {
+            // The canonical FPU fence with FP work still queued (not idle
+            // implies not drained) can only lose the slot to a Fence stall:
+            // book it without the delegated call. (`x0` carries no hazards
+            // and the write-back claim prune is lazy.)
+            BlockOp::FenceWait if !fpss.idle_now() => {
+                charge.stall(now, self.pc, StallCause::Fence, 1);
+                return Ok(());
+            }
+            // CSR (barrier, fences, SSR enable), SSR-config and DMA micro-ops
+            // keep their stateful semantics by delegating to the reference
+            // stepper, which redoes its own housekeeping and hazard scan.
+            BlockOp::Generic | BlockOp::FenceWait => {
+                return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
+            }
+            _ => {}
         }
         self.wb_claims.retain(|&(c, _)| c >= now);
         if self.operand_hazard(now, [b.srcs[0], b.srcs[1], b.dst], charge) {

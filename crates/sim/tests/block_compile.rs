@@ -1,25 +1,28 @@
 //! Equivalence of the block-compiled fast path against the force-stepped
 //! reference loop: pseudo-random programs (integer loops, FP and FREP
-//! bodies, SSR streams, DMA copies with wait loops, barriers) must produce
-//! bit-identical [`Stats`](snitch_sim::Stats) (including final cycle
-//! counts), FP registers and memory with block compilation enabled and with
-//! both fast paths disabled — plus engagement pins that the burst actually
-//! fired, fallback pins that tracers and the deadlock/timeout watchdogs
-//! behave identically, and ledger pins that the cycle profile equals the
-//! per-hart counters on both paths.
+//! bodies, SSR streams, DMA copies with wait loops, barriers) on 1, 2 and 4
+//! harts and the tiled GEMM on 8-hart clusters must produce bit-identical
+//! [`Stats`](snitch_sim::Stats) (including final cycle counts), registers
+//! and memory with block compilation enabled and with both fast paths
+//! disabled — plus engagement pins that the burst actually fired, fallback
+//! pins that tracers and the deadlock/timeout watchdogs behave identically,
+//! and ledger pins that the cycle profile equals the per-hart counters on
+//! both paths.
 //!
 //! The program generator is the shared one in [`snitch_sim::testing`]; the
 //! quiescent-skip path has its own suite in `quiescent_skip.rs`.
 
 use snitch_asm::builder::ProgramBuilder;
-use snitch_asm::layout::TCDM_BASE;
+use snitch_asm::layout::{TCDM_BASE, TCDM_SIZE};
 use snitch_asm::program::Program;
+use snitch_kernels::registry::{Kernel, Variant};
 use snitch_profile::{Lane, Profiler, StallCause};
 use snitch_riscv::csr::SsrCfgWord;
-use snitch_riscv::reg::IntReg;
+use snitch_riscv::reg::{FpReg, IntReg};
 use snitch_sim::cluster::Cluster;
-use snitch_sim::config::ClusterConfig;
+use snitch_sim::config::{ClusterConfig, SystemConfig};
 use snitch_sim::error::RunError;
+use snitch_sim::system::System;
 use snitch_sim::testing::{observe_with, random_program, Observation, Rng};
 use snitch_sim::Stats;
 use snitch_trace::Profile;
@@ -68,6 +71,29 @@ fn block_burst_engages_on_random_single_core_programs() {
             c.block_replayed_cycles() + c.skipped_cycles() <= stats.cycles,
             "fast-path counters overlap (case {case})"
         );
+    }
+}
+
+/// The same pin on SPMD programs: every hart runs, barriers and DMA copies
+/// included, and the burst drives them all — so it fires on each seeded
+/// 2- and 4-core program and owns most of its cycles.
+#[test]
+fn block_burst_engages_on_random_multi_core_programs() {
+    let mut rng = Rng(0xb10c_cafe_f00d_0007);
+    for case in 0..12 {
+        let cores = [2, 4][case % 2];
+        let frags = 3 + rng.below(5) as usize;
+        let program = random_program(&mut rng, cores, frags);
+        let mut c = Cluster::new(ClusterConfig { cores, ..ClusterConfig::default() });
+        c.load_program(&program);
+        let stats = c.run().expect("random program completes");
+        let (replayed, skipped) = (c.block_replayed_cycles(), c.skipped_cycles());
+        assert!(
+            replayed > 0,
+            "burst never engaged (case {case}, {cores} cores, {} cycles)",
+            stats.cycles
+        );
+        assert!(replayed + skipped <= stats.cycles, "fast-path counters overlap (case {case})");
     }
 }
 
@@ -184,6 +210,147 @@ fn timeout_reported_at_identical_cycles_block_on_vs_off() {
                 assert_eq!(c1, max_cycles);
             }
             other => panic!("expected two timeouts at limit {max_cycles}, got {other:?}"),
+        }
+    }
+}
+
+/// Runs `p` on a `cores`-hart cluster with every fast path on or off.
+fn run_both_ways(p: &Program, cores: usize, max_cycles: u64, fast: bool) -> Result<u64, RunError> {
+    let mut c = Cluster::new(ClusterConfig { cores, max_cycles, ..ClusterConfig::default() });
+    c.set_block_compile(fast);
+    c.set_quiescent_skip(fast);
+    c.load_program(p);
+    let result = c.run().map(|s| s.cycles);
+    if fast {
+        assert!(c.block_replayed_cycles() > 0, "the burst drives the harts");
+    }
+    result
+}
+
+/// A timeout landing mid-burst while four harts spin: reported at exactly
+/// the limit with the burst on and off.
+#[test]
+fn multi_core_timeout_reported_at_identical_cycles_block_on_vs_off() {
+    let mut b = ProgramBuilder::new();
+    b.parallel();
+    b.li(IntReg::A0, 1_000_000);
+    b.label("spin");
+    b.addi(IntReg::A0, IntReg::A0, -1);
+    b.bnez(IntReg::A0, "spin");
+    b.ecall();
+    let p = b.build().unwrap();
+    for max_cycles in (50..58).chain(1000..1004) {
+        match (run_both_ways(&p, 4, max_cycles, true), run_both_ways(&p, 4, max_cycles, false)) {
+            (Err(RunError::Timeout { cycles: c1 }), Err(RunError::Timeout { cycles: c2 })) => {
+                assert_eq!(c1, c2, "timeout at limit {max_cycles}");
+                assert_eq!(c1, max_cycles);
+            }
+            other => panic!("expected two timeouts at limit {max_cycles}, got {other:?}"),
+        }
+    }
+}
+
+/// A 2-hart barrier deadlock: hart 0 waits at the barrier while hart 1
+/// stalls forever reconfiguring an armed SSR stream nobody consumes. The
+/// report must carry the same cycle and pc with the burst on and off.
+#[test]
+fn barrier_deadlock_reported_at_identical_cycles_block_on_vs_off() {
+    let mut b = ProgramBuilder::new();
+    b.parallel();
+    b.csrr_mhartid(IntReg::A1);
+    b.bnez(IntReg::A1, "stuck");
+    b.barrier();
+    b.ecall();
+    b.label("stuck");
+    b.li(IntReg::A0, 3);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Bound(0));
+    b.li(IntReg::A0, 8);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Stride(0));
+    b.li_u(IntReg::A0, TCDM_BASE);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // arms
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // stalls forever
+    b.barrier();
+    b.ecall();
+    let p = b.build().unwrap();
+    let max_cycles = ClusterConfig::default().max_cycles;
+    match (run_both_ways(&p, 2, max_cycles, true), run_both_ways(&p, 2, max_cycles, false)) {
+        (
+            Err(RunError::Deadlock { cycle: c1, pc: p1 }),
+            Err(RunError::Deadlock { cycle: c2, pc: p2 }),
+        ) => {
+            assert_eq!((c1, p1), (c2, p2), "deadlock report must be cycle-identical");
+        }
+        other => panic!("expected two deadlocks, got {other:?}"),
+    }
+}
+
+/// Everything a tiled-GEMM system run leaves behind, hart by hart: each
+/// hart's counters, integer and FP registers, then every cluster's TCDM and
+/// the shared L2 result matrix.
+#[derive(Debug, PartialEq)]
+struct SystemObservation {
+    hart_stats: Vec<Stats>,
+    int_regs: Vec<u32>,
+    fp_regs: Vec<u64>,
+    tcdm: Vec<u64>,
+    c_matrix: Vec<u64>,
+}
+
+fn observe_gemm(
+    variant: Variant,
+    n: usize,
+    cores: usize,
+    clusters: usize,
+    fast: bool,
+) -> SystemObservation {
+    let program = Kernel::GemmTiled.build_grid(variant, n, 0, cores, clusters);
+    let cluster = ClusterConfig { cores, ..ClusterConfig::default() };
+    let mut sys = System::new(SystemConfig { cluster, clusters });
+    sys.set_block_compile(fast);
+    for k in 0..clusters {
+        sys.cluster_mut(k).set_quiescent_skip(fast);
+    }
+    sys.load_program(&program);
+    sys.run().expect("gemm_tiled completes");
+    let mut obs = SystemObservation {
+        hart_stats: Vec::new(),
+        int_regs: Vec::new(),
+        fp_regs: Vec::new(),
+        tcdm: Vec::new(),
+        c_matrix: Vec::new(),
+    };
+    for k in 0..clusters {
+        let c = sys.cluster(k);
+        if fast {
+            assert!(c.block_replayed_cycles() > 0, "burst never engaged (cluster {k})");
+        }
+        for h in 0..cores {
+            obs.hart_stats.push(c.core_stats(h).clone());
+            obs.int_regs.extend((0..32).map(|r| c.int_reg_of(h, IntReg::new(r))));
+            obs.fp_regs.extend((0..32).map(|r| c.fp_reg_of(h, FpReg::new(r))));
+        }
+        let words = TCDM_SIZE / 8;
+        obs.tcdm.extend((0..words).map(|i| c.mem().read(TCDM_BASE + i * 8, 8).expect("tcdm")));
+    }
+    let c_data = program.symbol("c_data").expect("c_data symbol");
+    obs.c_matrix = (0..(n * n) as u32).map(|i| sys.read_mem(c_data + i * 8, 8).unwrap()).collect();
+    obs
+}
+
+/// The tiled GEMM on 8-hart clusters (barriers, DMA staging, L2 traffic and
+/// TCDM contention across all harts), in one and two clusters: per-hart
+/// counters, registers and memory identical with the burst on and off.
+#[test]
+fn gemm_tiled_multi_core_matches_force_stepped_reference() {
+    for variant in Variant::all() {
+        for clusters in [1, 2] {
+            let fast = observe_gemm(variant, 32, 8, clusters, true);
+            let reference = observe_gemm(variant, 32, 8, clusters, false);
+            assert_eq!(fast.hart_stats, reference.hart_stats, "{variant:?} x{clusters}: stats");
+            assert_eq!(fast.int_regs, reference.int_regs, "{variant:?} x{clusters}: int regs");
+            assert_eq!(fast.fp_regs, reference.fp_regs, "{variant:?} x{clusters}: fp regs");
+            assert!(fast.tcdm == reference.tcdm, "{variant:?} x{clusters}: TCDM diverges");
+            assert_eq!(fast.c_matrix, reference.c_matrix, "{variant:?} x{clusters}: C matrix");
         }
     }
 }

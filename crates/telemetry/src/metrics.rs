@@ -87,6 +87,8 @@ pub fn render_scaling(
 /// Renders one `burst` line: the batch's block-burst engagement — the
 /// fraction of simulated cycles the simulator served on its block-compiled
 /// fast path (`Cluster::block_replayed_cycles` summed over the records).
+/// Both counts are per-cluster sums: `cycles` adds up every cluster's
+/// cycles, not the systems' elapsed (max-over-clusters) cycles.
 #[must_use]
 pub fn render_burst(workers: usize, cycles: u64, replayed_cycles: u64) -> String {
     let engagement = if cycles == 0 { 0.0 } else { replayed_cycles as f64 / cycles as f64 };
