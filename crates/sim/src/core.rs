@@ -216,10 +216,14 @@ impl IntCore {
         self.wb_claims.iter().find(|&&(c, _)| c == cycle).is_none_or(|&(_, n)| n < ports)
     }
 
-    fn claim_wb(&mut self, cycle: u64) {
+    /// Claims a write-back port slot at `cycle`. Claims for cycles before
+    /// `now` can never match a later query (write-backs land after issue),
+    /// so they are pruned here, when a new cycle's entry is added.
+    fn claim_wb(&mut self, cycle: u64, now: u64) {
         if let Some(e) = self.wb_claims.iter_mut().find(|e| e.0 == cycle) {
             e.1 += 1;
         } else {
+            self.wb_claims.retain(|&(c, _)| c >= now);
             self.wb_claims.push((cycle, 1));
         }
     }
@@ -271,7 +275,6 @@ impl IntCore {
         if self.halted {
             return Ok(());
         }
-        self.wb_claims.retain(|&(c, _)| c >= now);
         if self.stall_until > now {
             return Ok(());
         }
@@ -473,7 +476,7 @@ impl IntCore {
                 charge.stall(now, self.pc, StallCause::WbPort, 1);
                 return false;
             }
-            self.claim_wb(wb_cycle);
+            self.claim_wb(wb_cycle, now);
         }
         self.write_reg(rd, value, wb_cycle);
         self.fetched(now, Lane::Int, inst, l0, charge);
@@ -703,6 +706,14 @@ impl IntCore {
         if self.pc & 3 != 0 {
             return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
         }
+        // A hart waiting at the barrier re-reads the barrier CSR every cycle
+        // until the cluster releases it, and that read can only stall: its
+        // operands were ready when it arrived, and a hart that issues
+        // nothing can only see registers become ready.
+        if self.barrier == BarrierState::Waiting {
+            charge.stall(now, self.pc, StallCause::Barrier, 1);
+            return Ok(());
+        }
         let idx = (self.pc.wrapping_sub(layout::TEXT_BASE) / 4) as usize;
         let Some(b) = blocks.get(idx) else {
             return Err(SimFault::new(format!("pc {:#010x} outside text section", self.pc)));
@@ -711,8 +722,7 @@ impl IntCore {
         match b.op {
             // The canonical FPU fence with FP work still queued (not idle
             // implies not drained) can only lose the slot to a Fence stall:
-            // book it without the delegated call. (`x0` carries no hazards
-            // and the write-back claim prune is lazy.)
+            // book it without the delegated call (`x0` carries no hazards).
             BlockOp::FenceWait if !fpss.idle_now() => {
                 charge.stall(now, self.pc, StallCause::Fence, 1);
                 return Ok(());
@@ -725,7 +735,6 @@ impl IntCore {
             }
             _ => {}
         }
-        self.wb_claims.retain(|&(c, _)| c >= now);
         if self.operand_hazard(now, [b.srcs[0], b.srcs[1], b.dst], charge) {
             return Ok(());
         }
@@ -863,7 +872,7 @@ mod tests {
     fn wb_port_claims() {
         let mut c = IntCore::new(0);
         assert!(c.can_claim_wb(5, 1));
-        c.claim_wb(5);
+        c.claim_wb(5, 0);
         assert!(!c.can_claim_wb(5, 1));
         assert!(c.can_claim_wb(5, 2));
         assert!(c.can_claim_wb(6, 1));
