@@ -10,7 +10,7 @@ use crate::charge::Charge;
 use crate::config::ClusterConfig;
 use crate::core::{Decoded, IntCore};
 use crate::dma::Dma;
-use crate::error::RunError;
+use crate::error::{RunError, SimFault};
 use crate::fpss::Fpss;
 use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
@@ -60,6 +60,73 @@ impl CoreUnit {
             l0: L0Cache::new(cfg.l0_capacity),
             stats: Stats::default(),
         }
+    }
+
+    /// Whether every call of a cycle would be a no-op for this hart: halted
+    /// or inside its `stall_until` window, with an idle FP subsystem and
+    /// quiescent streamers.
+    fn silent(&self, now: u64) -> bool {
+        (self.core.halted() || self.core.stall_until() > now)
+            && self.fpss.idle_now()
+            && self.ssrs.iter().all(Ssr::quiescent)
+    }
+
+    /// One burst cycle of this (non-silent) hart, in the stepper's order:
+    /// FP→int write-backs, one issue through the block cache, the FP
+    /// subsystem and the streamers — each skipped when provably a no-op.
+    /// Returns whether the hart made progress (issued, or streamed a beat).
+    #[allow(clippy::too_many_arguments)]
+    fn burst_cycle(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        text: &[Decoded],
+        blocks: &BlockCache,
+        mem: &mut Memory,
+        arb: &mut TcdmArbiter,
+        dma: &mut Dma,
+        tracer: &mut Option<Tracer>,
+        profiler: &mut Option<Profiler>,
+    ) -> Result<bool, SimFault> {
+        let CoreUnit { core, fpss, ssrs, l0, stats } = self;
+        let issued_before = issue_work(stats);
+        fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
+        let hart = core.hart_id() as u8;
+        let mut charge = Charge::new(hart, stats, tracer, profiler);
+        if !core.halted() && core.stall_until() <= now {
+            core.step_block(
+                now,
+                cfg,
+                text,
+                blocks.ops(),
+                l0,
+                mem,
+                arb,
+                fpss,
+                ssrs,
+                dma,
+                &mut charge,
+            )?;
+        }
+        // Checked after the issue: a just-offloaded op must step this
+        // cycle. When still idle, `step` is a pure no-op.
+        if !fpss.idle_now() {
+            fpss.step(now, cfg, mem, arb, ssrs, &mut charge)?;
+        }
+        let mut progressed = false;
+        for (i, ssr) in ssrs.iter_mut().enumerate() {
+            if ssr.quiescent() {
+                continue;
+            }
+            let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
+            charge.stats.tcdm_ssr_accesses += u64::from(accesses);
+            progressed |= accesses > 0;
+            if ssr.armed() {
+                charge.stats.ssr_active_cycles[i] += 1;
+            }
+            charge.stats.ssr_beats[i] = ssr.beats();
+        }
+        Ok(progressed || issue_work(charge.stats) != issued_before)
     }
 }
 
@@ -724,69 +791,34 @@ impl Cluster {
             }
             arb.begin_cycle();
             let mut progressed = false;
-            // Earliest resume cycle over the running harts while every
-            // hart seen so far is silent; `None` once one acted.
-            let mut silent_until = Some(u64::MAX);
+            // Whether every hart was silent, and the earliest resume cycle
+            // over the silent running harts.
+            let mut all_silent = true;
+            let mut wake = u64::MAX;
             for unit in units.iter_mut() {
-                let CoreUnit { core, fpss, ssrs, l0, stats } = unit;
-                let core_silent = core.halted() || core.stall_until() > now;
-                if core_silent && fpss.idle_now() && ssrs.iter().all(Ssr::quiescent) {
-                    if !core.halted() {
-                        silent_until = silent_until.map(|w| w.min(core.stall_until()));
+                if unit.silent(now) {
+                    if !unit.core.halted() {
+                        wake = wake.min(unit.core.stall_until());
                     }
                     continue;
                 }
-                silent_until = None;
-                let issued_before = issue_work(stats);
-                fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
-                let hart = core.hart_id() as u8;
-                let mut charge = Charge::new(hart, stats, tracer, profiler);
-                if !core_silent {
-                    let was_waiting = core.barrier_waiting();
-                    let r = core.step_block(
-                        now,
-                        cfg,
-                        text,
-                        blocks.ops(),
-                        l0,
-                        mem,
-                        arb,
-                        fpss,
-                        ssrs,
-                        dma,
-                        &mut charge,
-                    );
-                    halted_count += usize::from(core.halted());
-                    barrier_waiting += usize::from(!was_waiting && core.barrier_waiting());
-                    if let Err(e) = r {
+                all_silent = false;
+                let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
+                let r = unit.burst_cycle(now, cfg, text, blocks, mem, arb, dma, tracer, profiler);
+                // Halt/barrier transitions commit even when the cycle
+                // faults, as in the stepper.
+                halted_count += usize::from(!was_halted && unit.core.halted());
+                barrier_waiting += usize::from(!was_waiting && unit.core.barrier_waiting());
+                match r {
+                    Ok(p) => progressed |= p,
+                    Err(e) => {
                         fault = Some(e);
                         break 'cycles;
                     }
                 }
-                // Checked after the issue: a just-offloaded op must step
-                // this cycle. When still idle, `step` is a pure no-op.
-                if !fpss.idle_now() {
-                    if let Err(e) = fpss.step(now, cfg, mem, arb, ssrs, &mut charge) {
-                        fault = Some(e);
-                        break 'cycles;
-                    }
-                }
-                for (i, ssr) in ssrs.iter_mut().enumerate() {
-                    if ssr.quiescent() {
-                        continue;
-                    }
-                    let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
-                    charge.stats.tcdm_ssr_accesses += u64::from(accesses);
-                    progressed |= accesses > 0;
-                    if ssr.armed() {
-                        charge.stats.ssr_active_cycles[i] += 1;
-                    }
-                    charge.stats.ssr_beats[i] = ssr.beats();
-                }
-                progressed |= issue_work(charge.stats) != issued_before;
             }
             if !dma.idle() {
-                silent_until = None;
+                all_silent = false;
                 let dma_beats_before = dma.beats();
                 *tcdm_dma_accesses += u64::from(dma.step(mem, arb));
                 progressed |= dma.beats() != dma_beats_before;
@@ -799,20 +831,16 @@ impl Cluster {
                 }
                 barrier_waiting = 0;
             }
-            match silent_until {
+            if all_silent && barrier_waiting == 0 {
                 // Nothing acted and nothing can until the earliest resume:
                 // jump there, clamped so the stuck-exit and timeout
                 // boundaries fire at exactly the cycles the checks above
-                // would see. (A silent cycle makes no progress and leaves
-                // nobody at the barrier.)
-                Some(wake) if barrier_waiting == 0 => {
-                    now = wake.min(max_cycles).min(last_progress + BLOCK_STUCK_EXIT + 1);
-                }
-                _ => {
-                    now += 1;
-                    if progressed {
-                        last_progress = now;
-                    }
+                // would see. (A silent cycle makes no progress.)
+                now = wake.min(max_cycles).min(last_progress + BLOCK_STUCK_EXIT + 1);
+            } else {
+                now += 1;
+                if progressed {
+                    last_progress = now;
                 }
             }
         }
