@@ -259,6 +259,9 @@ fn main() {
          tables can never tell different stories.\n"
     );
 
+    // ---- Host time (a committed measurement, not regenerated here) ----
+    out.push_str(HOST_TIME);
+
     // ---- Known deviations ----
     let _ = writeln!(
         out,
@@ -281,3 +284,45 @@ fn main() {
     println!("{out}");
     println!("written to EXPERIMENTS.md");
 }
+
+/// "Where the host time goes" on `scaling-grid`: per-layer numbers of the
+/// repository benchmark (`perfbench --trace 1`), before and after the block
+/// burst learned to drive every hart. Host timings cannot be regenerated
+/// deterministically, so this section is a committed measurement that the
+/// binary copies through unchanged.
+const HOST_TIME: &str = "\
+## Where the host time goes — `scaling-grid` per layer
+
+Host time of the `scaling-grid` batch (`gemm_tiled`, 24 jobs over 1–8
+cores × 1–4 clusters, 18.66 M per-cluster cycles), split by layer with
+`cargo run --release --manifest-path perfbench/Cargo.toml -- --workload
+scaling-grid --trace 1` on a 2-vCPU x86-64 container, one engine worker,
+median of 3 runs per side. *Before*: the block burst engaged only while
+a single hart ran; *after*: one burst loop drives every hart (DESIGN.md
+§15) and the L0 buffer checks residency with one flag per text word.
+
+| layer / metric | before | after |
+|---|---:|---:|
+| `sim.run_s` — cycle loop | 3.171 s | 2.017 s |
+| `sim.run_ns_per_cycle` | 169.9 ns | 108.1 ns |
+| `sim.burst_share` | 0.513 | 1.000 |
+| `sim.stepper_share` | 0.424 | 0.000 |
+| `sim.skip_share` | 0.063 | 0.000 |
+| `sim.warm_s` — 24 × `System::new` | 0.211 s | 0.201 s |
+| `kernels.check_s` — golden check | 0.023 s | 0.019 s |
+| `sim.load_s` — load + block compile | 1.9 ms | 1.9 ms |
+| `kernels.build_s`, `verify.verify_s` | 1.4 ms, 1.0 ms | 1.4 ms, 0.9 ms |
+| `sim.reset_s`, `energy.report_s`, `engine.sink_s` | < 0.2 ms each | < 0.2 ms each |
+| `wall_s_tail` — slowest engine pass | 4.248 s | 3.329 s |
+| `sim.cluster_cycles` | 18,655,848 | 18,655,848 |
+
+The simulated model is unchanged — `sim.cluster_cycles`, every `model.*`
+counter and the sink bytes are identical — and the difference sits in the
+run layer; the other layers move within run-to-run noise, which on this
+host reaches ±20% between runs of the same commit. End to end (tracing
+off, five interleaved pairs), `sim_mcycles_per_s` went from 7.62 to 9.04
+M cycles/s in the median and `wall_s` from 2.45 to 2.06 s, better in
+every pair; `fig2`, carried by the single-hart case of the same loop,
+stayed level (0.253 → 0.246 s).
+
+";

@@ -123,18 +123,6 @@ impl RunRecord {
         }
     }
 
-    /// Fraction of the clusters' cycles served by the simulator's block
-    /// burst: `block_replayed_cycles / cluster_cycles` (0 when no cycles
-    /// were recorded). At most 1 at any system shape.
-    #[must_use]
-    pub fn burst_engagement(&self) -> f64 {
-        if self.cluster_cycles == 0 {
-            0.0
-        } else {
-            self.block_replayed_cycles as f64 / self.cluster_cycles as f64
-        }
-    }
-
     /// Sum of all integer-core stall cycles (0 on failure).
     #[must_use]
     pub fn stall_cycles(&self) -> u64 {
