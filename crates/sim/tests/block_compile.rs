@@ -214,8 +214,9 @@ fn timeout_reported_at_identical_cycles_block_on_vs_off() {
     }
 }
 
-/// Runs `p` on a `cores`-hart cluster with every fast path on or off.
-fn run_both_ways(p: &Program, cores: usize, max_cycles: u64, fast: bool) -> Result<u64, RunError> {
+/// Runs `p` on a `cores`-hart cluster with every fast path on or off; with
+/// them on, the burst must have engaged.
+fn run_mode(p: &Program, cores: usize, max_cycles: u64, fast: bool) -> Result<u64, RunError> {
     let mut c = Cluster::new(ClusterConfig { cores, max_cycles, ..ClusterConfig::default() });
     c.set_block_compile(fast);
     c.set_quiescent_skip(fast);
@@ -240,7 +241,7 @@ fn multi_core_timeout_reported_at_identical_cycles_block_on_vs_off() {
     b.ecall();
     let p = b.build().unwrap();
     for max_cycles in (50..58).chain(1000..1004) {
-        match (run_both_ways(&p, 4, max_cycles, true), run_both_ways(&p, 4, max_cycles, false)) {
+        match (run_mode(&p, 4, max_cycles, true), run_mode(&p, 4, max_cycles, false)) {
             (Err(RunError::Timeout { cycles: c1 }), Err(RunError::Timeout { cycles: c2 })) => {
                 assert_eq!(c1, c2, "timeout at limit {max_cycles}");
                 assert_eq!(c1, max_cycles);
@@ -273,7 +274,7 @@ fn barrier_deadlock_reported_at_identical_cycles_block_on_vs_off() {
     b.ecall();
     let p = b.build().unwrap();
     let max_cycles = ClusterConfig::default().max_cycles;
-    match (run_both_ways(&p, 2, max_cycles, true), run_both_ways(&p, 2, max_cycles, false)) {
+    match (run_mode(&p, 2, max_cycles, true), run_mode(&p, 2, max_cycles, false)) {
         (
             Err(RunError::Deadlock { cycle: c1, pc: p1 }),
             Err(RunError::Deadlock { cycle: c2, pc: p2 }),
