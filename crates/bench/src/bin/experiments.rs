@@ -261,6 +261,7 @@ fn main() {
 
     // ---- Host time (a committed measurement, not regenerated here) ----
     out.push_str(HOST_TIME);
+    out.push_str(GUEST_MEMORY);
 
     // ---- Known deviations ----
     let _ = writeln!(
@@ -324,5 +325,41 @@ off, five interleaved pairs), `sim_mcycles_per_s` went from 7.62 to 9.04
 M cycles/s in the median and `wall_s` from 2.45 to 2.06 s, better in
 every pair; `fig2`, carried by the single-hart case of the same loop,
 stayed level (0.253 → 0.246 s).
+
+";
+
+/// The memory half of "Where the host time goes": `System::new` cost and
+/// peak resident memory before and after guest memory was backed by the
+/// program's footprint instead of the address map. A committed
+/// measurement, copied through unchanged like [`HOST_TIME`].
+const GUEST_MEMORY: &str = "\
+### Guest memory: backed by the footprint, not the address map
+
+The same benchmark before and after every memory region (TCDM, main
+memory, the L2 copies, the remote-TCDM snapshots and the canonical L2)
+was backed only as far as the program writes it (DESIGN.md §13),
+instead of allocating the whole 20 MiB map per cluster. `sim.warm_s`
+is the median of 3 traced `scaling-grid` runs per side; `setup_s` and
+`peak_rss_mb` come from ten interleaved untraced pairs per workload at
+the benchmark's 50 s run length, medians with the range in brackets.
+
+| layer / metric | before | after |
+|---|---:|---:|
+| `sim.warm_s` — 24 × `System::new` | 0.209 s | 0.0004 s |
+| `setup_s` — `scaling-grid` | 0.0202 s | 0.0030 s |
+| `peak_rss_mb` — `scaling-grid` | 173.3 MiB [173.2–173.5] | 6.25 MiB [6.25–6.25] |
+| `peak_rss_mb` — `fig2` | 1.07 MiB [1.06–1.13] | 1.15 MiB [1.15–1.15] |
+| `sim.cluster_cycles`, every `model.*` | identical | identical |
+
+A fresh 8-core × 4-cluster `System` now backs no guest bytes; loaded
+with `gemm_tiled` it backs its images, and after the run about 1.2 MiB
+with the peer snapshots, where it used to hold 86 MiB. `fig2` grew by
+about 0.09 MiB: its single cluster used to touch only the pages its
+images covered inside the eager buffers, and now allocates each job's
+images exactly, leaving freed heap chunks between jobs. End to end,
+`scaling-grid` `wall_s` fell from 2.38 to 2.15 s in the median (better
+in 8 of 10 pairs, but less than the 2.27–2.51 s interquartile spread of
+the parent's runs, so unresolved); `fig2` stayed level (0.275 → 0.256
+s, better in 6 of 10).
 
 ";

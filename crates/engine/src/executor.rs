@@ -5,7 +5,7 @@
 //! returned `Vec<RunRecord>` is always in batch order regardless of how the
 //! OS schedules the workers. Each worker keeps one `System` alive and
 //! [`reset`](snitch_sim::system::System::reset)s it between jobs with the
-//! same configuration, reusing the multi-MiB memory allocations.
+//! same configuration, reusing its clusters' unit trees.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

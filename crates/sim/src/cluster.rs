@@ -278,10 +278,11 @@ impl Cluster {
     }
 
     /// Restores the cluster to its just-constructed state while reusing
-    /// *every* allocation — the memory arrays (cleared only over their dirty
-    /// watermarks), per-unit queues and tables — so one `Cluster` can
-    /// execute a stream of jobs with zero per-job allocation and a clear
-    /// cost proportional to what the previous job touched.
+    /// the per-unit queues and tables, and drops the guest memory in
+    /// constant time (the next [`load_program`](Self::load_program) sizes
+    /// each memory region afresh to its image), so one `Cluster` can
+    /// execute a stream of jobs at a reset cost independent of what the
+    /// previous job touched.
     ///
     /// After `reset()` + [`load_program`](Self::load_program), a run is
     /// bit-identical (results *and* [`Stats`]) to one on a fresh
@@ -587,15 +588,22 @@ impl Cluster {
             progressed |= issue_work(charge.stats) != issued_before;
         }
 
-        if let Some(e) = fault {
-            // The cycle is aborted (no advance), but the transition counts
-            // observed so far are real and must land.
-            self.halted_count = halted_count;
-            self.barrier_waiting_count = barrier_waiting;
-            return Err(RunError::Fault(e));
-        }
-
-        let dma_accesses = dma.step(mem, arb);
+        // A unit fault skips the DMA engine; a faulting DMA beat aborts the
+        // cycle the same way.
+        let dma_step = match fault {
+            None => dma.step(mem, arb).map_err(SimFault::from),
+            Some(e) => Err(e),
+        };
+        let dma_accesses = match dma_step {
+            Ok(n) => n,
+            Err(e) => {
+                // The cycle is aborted (no advance), but the transition
+                // counts observed so far are real and must land.
+                self.halted_count = halted_count;
+                self.barrier_waiting_count = barrier_waiting;
+                return Err(RunError::Fault(e));
+            }
+        };
         *tcdm_dma_accesses += u64::from(dma_accesses);
         progressed |= dma.beats() != dma_beats_before;
         let new_conflicts = arb.conflicts() - conflicts_before;
@@ -820,7 +828,13 @@ impl Cluster {
             if !dma.idle() {
                 all_silent = false;
                 let dma_beats_before = dma.beats();
-                *tcdm_dma_accesses += u64::from(dma.step(mem, arb));
+                match dma.step(mem, arb) {
+                    Ok(n) => *tcdm_dma_accesses += u64::from(n),
+                    Err(e) => {
+                        fault = Some(e.into());
+                        break 'cycles;
+                    }
+                }
                 progressed |= dma.beats() != dma_beats_before;
             }
             if barrier_waiting > 0 && barrier_waiting + halted_count == cores {
@@ -940,7 +954,7 @@ mod tests {
             b.sw(IntReg::A1, IntReg::A0, 4);
             b.ecall();
         });
-        assert_eq!(c.mem().read_u32(TCDM_BASE + 4).unwrap(), 28);
+        assert_eq!(c.mem().read(TCDM_BASE + 4, 4).unwrap(), 28);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use crate::mem::{Memory, TcdmArbiter, TcdmPort};
+use crate::mem::{MemFault, Memory, TcdmArbiter, TcdmPort};
 use snitch_asm::layout;
 
 #[derive(Clone, Copy, Debug)]
@@ -220,31 +220,36 @@ impl Dma {
     /// a read cycle plus a write cycle (one bank serves one request per
     /// cycle — the pre-fix model wedged forever on this case, with the src
     /// grant starving its own dst request).
-    pub fn step(&mut self, mem: &mut Memory, arb: &mut TcdmArbiter) -> u32 {
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MemFault`] of a beat whose source or destination is
+    /// unmapped; the beat moves nothing and the segment stays where it was.
+    pub fn step(&mut self, mem: &mut Memory, arb: &mut TcdmArbiter) -> Result<u32, MemFault> {
         if self.current.is_none() {
             self.current = self.queue.pop_front();
         }
         let Some(seg) = &mut self.current else {
-            return 0;
+            return Ok(0);
         };
         // Interconnect setup: the segment's request is in flight across the
         // cluster interconnect; no data moves and no bank is touched.
         if seg.setup > 0 {
             seg.setup -= 1;
             self.hop_cycles += 1;
-            return 0;
+            return Ok(0);
         }
         // Write phase of a serialized same-bank beat.
         if let Some((chunk, val)) = self.latch {
             if !arb.request(TcdmPort::DmaDst, seg.dst) {
                 self.blocked_cycles += 1;
-                return 0;
+                return Ok(0);
             }
+            mem.write(seg.dst, chunk, val)?;
             self.busy_cycles += 1;
-            mem.write(seg.dst, chunk, val).expect("dma destination write");
             self.latch = None;
             Self::advance(&mut self.current, &mut self.beats, chunk);
-            return 1;
+            return Ok(1);
         }
         let src_tcdm = layout::is_tcdm(seg.src);
         let dst_tcdm = layout::is_tcdm(seg.dst);
@@ -267,11 +272,11 @@ impl Dma {
             // Read phase of a serialized same-bank beat.
             if !arb.request(TcdmPort::DmaSrc, seg.src) {
                 self.blocked_cycles += 1;
-                return 0;
+                return Ok(0);
             }
+            self.latch = Some((chunk, mem.read(seg.src, chunk)?));
             self.busy_cycles += 1;
-            self.latch = Some((chunk, mem.read(seg.src, chunk).expect("dma source read")));
-            return 1;
+            return Ok(1);
         }
         let src_ok = !src_tcdm || arb.request(TcdmPort::DmaSrc, seg.src);
         let dst_ok = !dst_tcdm || arb.request(TcdmPort::DmaDst, seg.dst);
@@ -283,13 +288,13 @@ impl Dma {
                 arb.release(seg.dst);
             }
             self.blocked_cycles += 1;
-            return 0;
+            return Ok(0);
         }
+        let val = mem.read(seg.src, chunk)?;
+        mem.write(seg.dst, chunk, val)?;
         self.busy_cycles += 1;
-        let val = mem.read(seg.src, chunk).expect("dma source read");
-        mem.write(seg.dst, chunk, val).expect("dma destination write");
         Self::advance(&mut self.current, &mut self.beats, chunk);
-        u32::from(src_tcdm) + u32::from(dst_tcdm)
+        Ok(u32::from(src_tcdm) + u32::from(dst_tcdm))
     }
 
     /// Completes one beat of `chunk` bytes on the active segment.
@@ -326,7 +331,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
             cycles += 1;
             assert!(cycles < 100);
         }
@@ -352,7 +357,7 @@ mod tests {
         dma.start(16);
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
         }
         // Row 0 = words 0..3, row 1 = words 8..11.
         assert_eq!(mem.read(TCDM_BASE, 4).unwrap(), 0);
@@ -378,11 +383,11 @@ mod tests {
         assert_eq!(id, 1);
         assert_eq!(dma.outstanding(), 2);
         arb.begin_cycle();
-        dma.step(&mut mem, &mut arb);
+        dma.step(&mut mem, &mut arb).unwrap();
         assert_eq!(dma.outstanding(), 2, "first still active");
         for _ in 0..16 {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
         }
         assert!(dma.idle());
     }
@@ -406,7 +411,7 @@ mod tests {
         // A core owns the *destination* bank; the source bank is free.
         assert!(arb.request(TcdmPort::CoreLsu(0), TCDM_BASE + 8));
         let conflicts_before = arb.conflicts();
-        assert_eq!(dma.step(&mut mem, &mut arb), 0, "no access may be counted");
+        assert_eq!(dma.step(&mut mem, &mut arb).unwrap(), 0, "no access may be counted");
         assert_eq!(dma.beats(), 0, "no data moved");
         assert_eq!(dma.busy_cycles(), 0, "a blocked cycle is not a moving cycle");
         assert_eq!(dma.blocked_cycles(), 1);
@@ -420,7 +425,7 @@ mod tests {
 
         // Retry with both banks free: the whole beat completes.
         arb.begin_cycle();
-        assert_eq!(dma.step(&mut mem, &mut arb), 2, "both sides are TCDM accesses");
+        assert_eq!(dma.step(&mut mem, &mut arb).unwrap(), 2, "both sides are TCDM accesses");
         assert_eq!(dma.beats(), 1);
         assert_eq!(dma.busy_cycles(), 1);
         assert_eq!(dma.blocked_cycles(), 1, "unchanged on the moving cycle");
@@ -443,7 +448,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
             cycles += 1;
             assert!(cycles < 10);
         }
@@ -460,7 +465,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
             cycles += 1;
             assert!(cycles < 10);
         }
@@ -485,7 +490,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            let accesses = dma.step(&mut mem, &mut arb);
+            let accesses = dma.step(&mut mem, &mut arb).unwrap();
             assert!(accesses <= 1, "one access per cycle on a shared bank");
             cycles += 1;
             assert!(cycles < 20);
@@ -512,7 +517,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
             cycles += 1;
             assert!(cycles < 100);
         }
@@ -538,7 +543,7 @@ mod tests {
         dma.start(16);
         while !dma.idle() {
             arb.begin_cycle();
-            dma.step(&mut mem, &mut arb);
+            dma.step(&mut mem, &mut arb).unwrap();
         }
         assert_eq!(dma.hop_cycles(), 3 * 16, "every row segment is its own L2 burst");
         assert_eq!(dma.beats(), 6);
@@ -563,7 +568,7 @@ mod tests {
         let mut cycles = 0;
         while !dma.idle() {
             arb.begin_cycle();
-            assert_eq!(dma.step(&mut mem, &mut arb), 0, "no TCDM access on either side");
+            assert_eq!(dma.step(&mut mem, &mut arb).unwrap(), 0, "no TCDM access on either side");
             cycles += 1;
             assert!(cycles < 50);
         }
@@ -594,10 +599,10 @@ mod tests {
         dma.start(8);
         arb.begin_cycle();
         assert!(arb.request(TcdmPort::CoreLsu(0), TCDM_BASE)); // someone else owns bank 0
-        assert_eq!(dma.step(&mut mem, &mut arb), 0);
+        assert_eq!(dma.step(&mut mem, &mut arb).unwrap(), 0);
         assert!(!dma.idle());
         arb.begin_cycle();
-        dma.step(&mut mem, &mut arb);
+        dma.step(&mut mem, &mut arb).unwrap();
         assert!(dma.idle());
     }
 }

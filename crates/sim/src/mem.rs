@@ -124,46 +124,142 @@ impl TcdmArbiter {
     }
 }
 
-/// Byte-addressable cluster memory (functional contents).
-///
-/// Writes maintain per-region dirty watermarks so [`clear`](Self::clear) —
-/// called once per job by the engine's cluster reuse — zeroes only the bytes
-/// actually touched instead of the full multi-MiB address space (which
-/// dominated per-job wall time for small programs).
-#[derive(Clone, Debug)]
-pub struct Memory {
-    tcdm: Vec<u8>,
-    main: Vec<u8>,
-    /// Local copy of the shared L2 region. In a multi-cluster `System` the
-    /// canonical contents live in the `System`; this buffer is synced in
-    /// before the cluster runs and the self-written range is merged back out
-    /// afterwards. In a standalone single-cluster run it *is* the L2.
-    l2: Vec<u8>,
-    /// Snapshot buffers of remote clusters' TCDMs, backing the per-cluster
-    /// alias windows. Empty (windows unmapped) until
-    /// [`enable_peers`](Self::enable_peers); the own-cluster entry stays
-    /// empty because the own window routes to `tcdm` directly.
-    peers: Vec<Vec<u8>>,
-    /// Which peer entry is this cluster itself.
-    self_cluster: usize,
-    /// Dirty byte range of `tcdm` (`lo..hi` offsets; empty when `lo >= hi`).
-    tcdm_dirty: (usize, usize),
-    /// Dirty byte range of `main`.
-    main_dirty: (usize, usize),
-    /// Dirty byte range of `l2` — everything written, for `clear`.
-    l2_dirty: (usize, usize),
-    /// Bytes of `l2` written *by this cluster's units* (not by sync-in):
-    /// the range the `System` merges back into the canonical L2.
-    l2_touched: (usize, usize),
-    /// Per-peer dirty ranges (for `clear`).
-    peers_dirty: Vec<(usize, usize)>,
-    /// Per-peer self-written ranges (remote stores the `System` must apply
-    /// to the real owner's TCDM).
-    peers_touched: Vec<(usize, usize)>,
-}
+/// Growth step of a store past a region's backing (every region size in
+/// the address map is a multiple of it).
+const GROW_STEP: usize = 4096;
 
 /// An empty watermark range.
 const CLEAN: (usize, usize) = (usize::MAX, 0);
+
+/// The contents of one region of the address map, backed by host memory
+/// only as far as the program has written it.
+///
+/// The backing starts at the region's offset 0 and ends at the highest byte
+/// an image, a sync or a store has written; every byte past it reads zero.
+/// Callers check an access against the address map first, so the backing
+/// never grows past its region.
+#[derive(Clone, Debug)]
+pub(crate) struct Region {
+    bytes: Vec<u8>,
+    /// Byte range written since the last clear: images, syncs and stores.
+    written: (usize, usize),
+    /// Byte range stored by the owning cluster's units since the last take
+    /// (what the `System` merges out of the L2 copy and the peer windows).
+    touched: (usize, usize),
+}
+
+impl Default for Region {
+    fn default() -> Self {
+        Region { bytes: Vec::new(), written: CLEAN, touched: CLEAN }
+    }
+}
+
+impl Region {
+    /// Reads `len` bytes at `off` as a little-endian value; bytes past the
+    /// backing read zero.
+    #[inline]
+    pub(crate) fn read(&self, off: usize, len: u32) -> u64 {
+        if let Some(s) = self.bytes.get(off..off + len as usize) {
+            return le_value(s);
+        }
+        let s = self.bytes.get(off..).unwrap_or_default();
+        le_value(&s[..s.len().min(len as usize)])
+    }
+
+    /// Stores the `len` low-order bytes of `value` at `off` on behalf of the
+    /// owning cluster's units, growing the backing in [`GROW_STEP`]s.
+    #[inline]
+    fn store(&mut self, off: usize, len: u32, value: u64) {
+        let end = off + len as usize;
+        if end > self.bytes.len() {
+            self.grow(end.next_multiple_of(GROW_STEP));
+        }
+        let bytes = value.to_le_bytes();
+        let s = &mut self.bytes[off..end];
+        match s.len() {
+            8 => s.copy_from_slice(&bytes),
+            n => s.copy_from_slice(&bytes[..n]),
+        }
+        widen(&mut self.written, off, end);
+        widen(&mut self.touched, off, end);
+    }
+
+    /// Overwrites `off..off + data.len()` from outside the owning cluster's
+    /// units (an image, a sync-in, a remote store): counts as written, not
+    /// as touched.
+    pub(crate) fn put(&mut self, off: usize, data: &[u8]) {
+        let end = off + data.len();
+        if end > self.bytes.len() {
+            self.grow(end);
+        }
+        self.bytes[off..end].copy_from_slice(data);
+        widen(&mut self.written, off, end);
+    }
+
+    /// Backs `..len`. A region holding nothing (fresh or cleared) first
+    /// releases its old allocation and takes exactly `len` bytes, so a
+    /// reused memory follows the current job's footprint, not the largest
+    /// one it has seen; a region holding bytes grows like any `Vec`.
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        if self.bytes.is_empty() {
+            self.bytes = Vec::new();
+            self.bytes.reserve_exact(len);
+        }
+        self.bytes.resize(len, 0);
+    }
+
+    /// Drops every byte and watermark in constant time: with nothing
+    /// backed, everything reads zero.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.written = CLEAN;
+        self.touched = CLEAN;
+    }
+
+    /// The bytes of watermark range `lo..hi`, as `(offset, bytes)`.
+    fn span(&self, (lo, hi): (usize, usize)) -> Option<(usize, &[u8])> {
+        (lo < hi).then(|| (lo, &self.bytes[lo..hi]))
+    }
+
+    /// The range written since the last clear.
+    pub(crate) fn written(&self) -> Option<(usize, &[u8])> {
+        self.span(self.written)
+    }
+
+    /// Host bytes allocated for the backing.
+    pub(crate) fn backed_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// Indices into [`Memory`]'s region table: the TCDM, main memory, the L2
+/// copy, then one remote-TCDM snapshot per cluster (`PEERS + k`).
+const TCDM: usize = 0;
+const MAIN: usize = 1;
+const L2: usize = 2;
+const PEERS: usize = 3;
+
+/// Byte-addressable cluster memory (functional contents).
+///
+/// Each region of the address map is a `Region` backed only as far as
+/// the job has written it, so a cluster costs host memory in proportion to
+/// its program's footprint, not to the map.
+#[derive(Clone, Debug)]
+pub struct Memory {
+    /// Every region, by the indices above. The L2 entry is a local copy in
+    /// a multi-cluster `System`, which keeps the canonical contents, syncs
+    /// them in before the cluster runs and merges the touched range back
+    /// out afterwards; in a standalone run it *is* the L2. Peer snapshots
+    /// back the remote alias windows (the own-cluster entry stays unused:
+    /// the own window routes to the TCDM).
+    regions: [Region; PEERS + layout::MAX_CLUSTERS],
+    /// Clusters whose alias windows are mapped (0 until
+    /// [`enable_peers`](Self::enable_peers)).
+    clusters: usize,
+    /// Which cluster this memory belongs to.
+    self_cluster: usize,
+}
 
 /// Error for an access outside the mapped regions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,44 +276,39 @@ impl std::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// The offset of `addr..addr + len` into the region `base..base + size`,
+/// if the access lies wholly inside it (no overflow at the top of the
+/// address space).
+#[inline]
+pub(crate) fn offset_in(addr: u32, len: u32, base: u32, size: u32) -> Option<usize> {
+    let off = addr.wrapping_sub(base);
+    (off < size && len <= size - off).then_some(off as usize)
+}
+
 impl Memory {
-    /// Creates zeroed memory.
+    /// Creates zeroed memory. Nothing is backed until an image, a sync or a
+    /// store writes it.
     #[must_use]
     pub fn new() -> Self {
-        Memory {
-            tcdm: vec![0; layout::TCDM_SIZE as usize],
-            main: vec![0; layout::MAIN_SIZE as usize],
-            l2: vec![0; layout::L2_SIZE as usize],
-            peers: Vec::new(),
-            self_cluster: 0,
-            tcdm_dirty: CLEAN,
-            main_dirty: CLEAN,
-            l2_dirty: CLEAN,
-            l2_touched: CLEAN,
-            peers_dirty: Vec::new(),
-            peers_touched: Vec::new(),
-        }
+        Memory { regions: std::array::from_fn(|_| Region::default()), clusters: 0, self_cluster: 0 }
     }
 
     /// Loads initial images (from an assembled program).
     pub fn load_images(&mut self, tcdm: &[u8], main: &[u8]) {
-        self.tcdm[..tcdm.len()].copy_from_slice(tcdm);
-        self.main[..main.len()].copy_from_slice(main);
-        widen(&mut self.tcdm_dirty, 0, tcdm.len());
-        widen(&mut self.main_dirty, 0, main.len());
+        self.regions[TCDM].put(0, tcdm);
+        self.regions[MAIN].put(0, main);
     }
 
     /// Loads the initial L2 image. Counts as sync-in, not as a write by
     /// this cluster's units.
     pub fn load_l2(&mut self, l2: &[u8]) {
-        self.l2[..l2.len()].copy_from_slice(l2);
-        widen(&mut self.l2_dirty, 0, l2.len());
+        self.regions[L2].put(0, l2);
     }
 
     /// Maps the alias windows of an `clusters`-cluster system, identifying
     /// this memory as cluster `self_cluster`. The own window routes straight
-    /// to the TCDM; remote windows get snapshot buffers the `System` fills
-    /// before each run.
+    /// to the TCDM; remote windows get snapshots the `System` fills before
+    /// each run.
     ///
     /// # Panics
     ///
@@ -225,171 +316,102 @@ impl Memory {
     /// [`layout::MAX_CLUSTERS`].
     pub fn enable_peers(&mut self, clusters: usize, self_cluster: usize) {
         assert!(self_cluster < clusters && clusters <= layout::MAX_CLUSTERS);
+        self.clusters = clusters;
         self.self_cluster = self_cluster;
-        self.peers =
-            (0..clusters)
-                .map(|k| {
-                    if k == self_cluster {
-                        Vec::new()
-                    } else {
-                        vec![0; layout::TCDM_SIZE as usize]
-                    }
-                })
-                .collect();
-        self.peers_dirty = vec![CLEAN; clusters];
-        self.peers_touched = vec![CLEAN; clusters];
+        self.regions[PEERS..].iter_mut().for_each(Region::clear);
     }
 
-    /// Zeroes all written contents in place, reusing the allocations. After
-    /// `clear` plus `load_images` the memory is indistinguishable from a
-    /// freshly constructed one. Only the dirty watermark range is touched,
-    /// so the cost is proportional to the bytes a job actually wrote.
+    /// Zeroes all contents in constant time. After `clear` plus
+    /// `load_images` the memory is indistinguishable from a freshly
+    /// constructed one.
     pub fn clear(&mut self) {
-        for (buf, range) in [
-            (&mut self.tcdm, &mut self.tcdm_dirty),
-            (&mut self.main, &mut self.main_dirty),
-            (&mut self.l2, &mut self.l2_dirty),
-        ] {
-            let (lo, hi) = *range;
-            if lo < hi {
-                buf[lo..hi].fill(0);
-            }
-            *range = CLEAN;
+        self.regions.iter_mut().for_each(Region::clear);
+    }
+
+    /// Resolves an access to its region index and the offset into it, or
+    /// faults when any byte of it is unmapped. The TCDM is checked first: it
+    /// serves almost every access.
+    #[inline]
+    fn locate(&self, addr: u32, len: u32) -> Result<(usize, usize), MemFault> {
+        if let Some(off) = offset_in(addr, len, layout::TCDM_BASE, layout::TCDM_SIZE) {
+            return Ok((TCDM, off));
         }
-        for (buf, range) in self.peers.iter_mut().zip(&mut self.peers_dirty) {
-            let (lo, hi) = *range;
-            if lo < hi {
-                buf[lo..hi].fill(0);
-            }
-            *range = CLEAN;
+        if let Some(off) = offset_in(addr, len, layout::MAIN_BASE, layout::MAIN_SIZE) {
+            return Ok((MAIN, off));
         }
-        self.l2_touched = CLEAN;
-        self.peers_touched.fill(CLEAN);
+        if let Some(off) = offset_in(addr, len, layout::L2_BASE, layout::L2_SIZE) {
+            return Ok((L2, off));
+        }
+        match layout::alias_cluster(addr) {
+            Some((k, off)) if len <= layout::TCDM_SIZE - off => {
+                if k == self.self_cluster {
+                    Ok((TCDM, off as usize))
+                } else if k < self.clusters {
+                    Ok((PEERS + k, off as usize))
+                } else {
+                    Err(MemFault { addr })
+                }
+            }
+            _ => Err(MemFault { addr }),
+        }
     }
 
     /// Whether `addr..addr+len` is mapped.
     #[must_use]
     pub fn is_mapped(&self, addr: u32, len: u32) -> bool {
-        let end = addr.wrapping_add(len.saturating_sub(1));
-        if (layout::is_tcdm(addr) && layout::is_tcdm(end))
-            || (layout::is_main(addr) && layout::is_main(end))
-            || (layout::is_l2(addr) && layout::is_l2(end))
-        {
-            return true;
-        }
-        match (layout::alias_cluster(addr), layout::alias_cluster(end)) {
-            (Some((k, _)), Some((k2, _))) if k == k2 => {
-                k == self.self_cluster || self.peers.get(k).is_some_and(|p| !p.is_empty())
-            }
-            _ => false,
-        }
-    }
-
-    /// Routes an in-bounds alias access to its backing buffer index, or
-    /// faults when the window's cluster does not exist in this system.
-    fn alias_target(&self, addr: u32, len: u32) -> Result<Option<(usize, usize)>, MemFault> {
-        let (Some((k, off)), Some((k2, _))) =
-            (layout::alias_cluster(addr), layout::alias_cluster(addr + len - 1))
-        else {
-            return Ok(None);
-        };
-        if k != k2 || !(k == self.self_cluster || self.peers.get(k).is_some_and(|p| !p.is_empty()))
-        {
-            return Err(MemFault { addr });
-        }
-        Ok(Some((k, off as usize)))
-    }
-
-    fn slice(&self, addr: u32, len: u32) -> Result<&[u8], MemFault> {
-        if layout::is_tcdm(addr) && layout::is_tcdm(addr + len - 1) {
-            let off = (addr - layout::TCDM_BASE) as usize;
-            Ok(&self.tcdm[off..off + len as usize])
-        } else if layout::is_main(addr) && layout::is_main(addr + len - 1) {
-            let off = (addr - layout::MAIN_BASE) as usize;
-            Ok(&self.main[off..off + len as usize])
-        } else if layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
-            let off = (addr - layout::L2_BASE) as usize;
-            Ok(&self.l2[off..off + len as usize])
-        } else if let Some((k, off)) = self.alias_target(addr, len)? {
-            let buf = if k == self.self_cluster { &self.tcdm } else { &self.peers[k] };
-            Ok(&buf[off..off + len as usize])
-        } else {
-            Err(MemFault { addr })
-        }
-    }
-
-    fn slice_mut(&mut self, addr: u32, len: u32) -> Result<&mut [u8], MemFault> {
-        if layout::is_tcdm(addr) && layout::is_tcdm(addr + len - 1) {
-            let off = (addr - layout::TCDM_BASE) as usize;
-            widen(&mut self.tcdm_dirty, off, off + len as usize);
-            Ok(&mut self.tcdm[off..off + len as usize])
-        } else if layout::is_main(addr) && layout::is_main(addr + len - 1) {
-            let off = (addr - layout::MAIN_BASE) as usize;
-            widen(&mut self.main_dirty, off, off + len as usize);
-            Ok(&mut self.main[off..off + len as usize])
-        } else if layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
-            let off = (addr - layout::L2_BASE) as usize;
-            widen(&mut self.l2_dirty, off, off + len as usize);
-            widen(&mut self.l2_touched, off, off + len as usize);
-            Ok(&mut self.l2[off..off + len as usize])
-        } else if let Some((k, off)) = self.alias_target(addr, len)? {
-            if k == self.self_cluster {
-                widen(&mut self.tcdm_dirty, off, off + len as usize);
-                Ok(&mut self.tcdm[off..off + len as usize])
-            } else {
-                widen(&mut self.peers_dirty[k], off, off + len as usize);
-                widen(&mut self.peers_touched[k], off, off + len as usize);
-                Ok(&mut self.peers[k][off..off + len as usize])
-            }
-        } else {
-            Err(MemFault { addr })
-        }
+        self.locate(addr, len).is_ok()
     }
 
     // ---- System synchronisation (multi-cluster runs) ----
 
     /// Overwrites `l2[off..off+data.len()]` with canonical bytes from the
-    /// `System`. Counts toward `clear` but not toward the cluster's own
-    /// written range.
+    /// `System`. Counts toward the written range but not toward the
+    /// cluster's own touched range.
     pub fn sync_l2_in(&mut self, off: usize, data: &[u8]) {
-        self.l2[off..off + data.len()].copy_from_slice(data);
-        widen(&mut self.l2_dirty, off, off + data.len());
+        self.regions[L2].put(off, data);
     }
 
     /// Overwrites peer `k`'s snapshot window with that cluster's actual TCDM
     /// bytes (same sync-in semantics as [`sync_l2_in`](Self::sync_l2_in)).
     pub fn sync_peer_in(&mut self, k: usize, off: usize, data: &[u8]) {
-        self.peers[k][off..off + data.len()].copy_from_slice(data);
-        widen(&mut self.peers_dirty[k], off, off + data.len());
+        self.regions[PEERS + k].put(off, data);
     }
 
     /// The `l2` range written by this cluster's own units since the last
     /// take, as `(offset, bytes)`; resets the watermark.
     pub fn take_l2_touched(&mut self) -> Option<(usize, &[u8])> {
-        let (lo, hi) = std::mem::replace(&mut self.l2_touched, CLEAN);
-        (lo < hi).then(|| (lo, &self.l2[lo..hi]))
+        self.take_touched(L2)
     }
 
     /// The bytes this cluster stored into peer `k`'s alias window since the
     /// last take (to be applied to the owner's TCDM); resets the watermark.
     pub fn take_peer_touched(&mut self, k: usize) -> Option<(usize, &[u8])> {
-        let (lo, hi) = std::mem::replace(&mut self.peers_touched[k], CLEAN);
-        (lo < hi).then(|| (lo, &self.peers[k][lo..hi]))
+        self.take_touched(PEERS + k)
+    }
+
+    fn take_touched(&mut self, region: usize) -> Option<(usize, &[u8])> {
+        let region = &mut self.regions[region];
+        let range = std::mem::replace(&mut region.touched, CLEAN);
+        region.span(range)
     }
 
     /// The TCDM range written so far (images + stores), for the `System`'s
     /// peer-snapshot refresh.
     #[must_use]
     pub fn tcdm_written(&self) -> Option<(usize, &[u8])> {
-        let (lo, hi) = self.tcdm_dirty;
-        (lo < hi).then(|| (lo, &self.tcdm[lo..hi]))
+        self.regions[TCDM].written()
     }
 
     /// Overwrites `tcdm[off..]` with bytes another cluster stored through
     /// this cluster's alias window.
     pub fn apply_remote_tcdm(&mut self, off: usize, data: &[u8]) {
-        widen(&mut self.tcdm_dirty, off, off + data.len());
-        self.tcdm[off..off + data.len()].copy_from_slice(data);
+        self.regions[TCDM].put(off, data);
+    }
+
+    /// Host bytes allocated to back the regions.
+    #[must_use]
+    pub fn backed_bytes(&self) -> usize {
+        self.regions.iter().map(Region::backed_bytes).sum()
     }
 
     /// Reads `len` (1, 2, 4 or 8) bytes as a little-endian value.
@@ -397,23 +419,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`MemFault`] for unmapped addresses.
+    #[inline]
     pub fn read(&self, addr: u32, len: u32) -> Result<u64, MemFault> {
-        let s = self.slice(addr, len)?;
-        Ok(match *s {
-            [b0] => u64::from(b0),
-            [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
-            [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
-            [b0, b1, b2, b3, b4, b5, b6, b7] => {
-                u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
-            }
-            _ => {
-                let mut v = 0u64;
-                for (i, b) in s.iter().enumerate() {
-                    v |= u64::from(*b) << (8 * i);
-                }
-                v
-            }
-        })
+        let (region, off) = self.locate(addr, len)?;
+        Ok(self.regions[region].read(off, len))
     }
 
     /// Writes `len` (1, 2, 4 or 8) low-order bytes of `value`.
@@ -421,13 +430,10 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`MemFault`] for unmapped addresses.
+    #[inline]
     pub fn write(&mut self, addr: u32, len: u32, value: u64) -> Result<(), MemFault> {
-        let s = self.slice_mut(addr, len)?;
-        let bytes = value.to_le_bytes();
-        match s.len() {
-            8 => s.copy_from_slice(&bytes),
-            n => s.copy_from_slice(&bytes[..n]),
-        }
+        let (region, off) = self.locate(addr, len)?;
+        self.regions[region].store(off, len, value);
         Ok(())
     }
 
@@ -439,24 +445,6 @@ impl Memory {
     pub fn read_f64(&self, addr: u32) -> Result<f64, MemFault> {
         Ok(f64::from_bits(self.read(addr, 8)?))
     }
-
-    /// Convenience: reads an `f32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemFault`] for unmapped addresses.
-    pub fn read_f32(&self, addr: u32) -> Result<f32, MemFault> {
-        Ok(f32::from_bits(self.read(addr, 4)? as u32))
-    }
-
-    /// Convenience: reads a `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemFault`] for unmapped addresses.
-    pub fn read_u32(&self, addr: u32) -> Result<u32, MemFault> {
-        Ok(self.read(addr, 4)? as u32)
-    }
 }
 
 impl Default for Memory {
@@ -465,14 +453,22 @@ impl Default for Memory {
     }
 }
 
-/// Widens a dirty watermark range to cover `lo..hi`.
+/// The little-endian value of up to eight bytes.
+#[inline]
+fn le_value(s: &[u8]) -> u64 {
+    match *s {
+        [b0] => u64::from(b0),
+        [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
+        [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+        [b0, b1, b2, b3, b4, b5, b6, b7] => u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        _ => s.iter().rev().fold(0, |v, b| v << 8 | u64::from(*b)),
+    }
+}
+
+/// Widens a watermark range to cover `lo..hi`.
 fn widen(range: &mut (usize, usize), lo: usize, hi: usize) {
-    if lo < range.0 {
-        range.0 = lo;
-    }
-    if hi > range.1 {
-        range.1 = hi;
-    }
+    range.0 = range.0.min(lo);
+    range.1 = range.1.max(hi);
 }
 
 #[cfg(test)]
@@ -493,7 +489,7 @@ mod tests {
     fn read_write_roundtrip_main() {
         let mut m = Memory::new();
         m.write(layout::MAIN_BASE, 4, 0xdead_beef).unwrap();
-        assert_eq!(m.read_u32(layout::MAIN_BASE).unwrap(), 0xdead_beef);
+        assert_eq!(m.read(layout::MAIN_BASE, 4).unwrap(), 0xdead_beef);
     }
 
     #[test]
@@ -585,6 +581,53 @@ mod tests {
         assert!(m.read(layout::tcdm_alias_base(2), 4).is_err());
         assert!(!m.is_mapped(layout::tcdm_alias_base(2), 4));
         assert!(m.is_mapped(layout::tcdm_alias_base(1), 4));
+    }
+
+    #[test]
+    fn top_of_address_space_faults_instead_of_overflowing() {
+        let mut m = Memory::new();
+        for (addr, len) in [(0xFFFF_FFFC, 8), (0xFFFF_FFFF, 2), (u32::MAX - 6, 8)] {
+            assert_eq!(m.read(addr, len), Err(MemFault { addr }));
+            assert_eq!(m.write(addr, len, 1), Err(MemFault { addr }));
+            assert!(!m.is_mapped(addr, len));
+        }
+        // The last bytes of each region, and accesses running past them.
+        for (base, size) in [
+            (layout::TCDM_BASE, layout::TCDM_SIZE),
+            (layout::MAIN_BASE, layout::MAIN_SIZE),
+            (layout::L2_BASE, layout::L2_SIZE),
+        ] {
+            assert_eq!(m.read(base + size - 8, 8), Ok(0));
+            assert!(m.is_mapped(base + size - 8, 8));
+            assert_eq!(m.write(base + size - 4, 8, 1), Err(MemFault { addr: base + size - 4 }));
+            assert!(!m.is_mapped(base + size - 4, 8));
+        }
+    }
+
+    #[test]
+    fn backing_follows_the_footprint() {
+        let mut m = Memory::new();
+        assert_eq!(m.backed_bytes(), 0, "a fresh memory backs nothing");
+        m.load_images(&[1; 100], &[2; 40]);
+        assert_eq!(m.backed_bytes(), 140);
+        // Mapped but unbacked bytes read zero, without backing anything.
+        assert_eq!(m.read(layout::TCDM_BASE + 64 * 1024, 8), Ok(0));
+        assert_eq!(m.read(layout::L2_BASE + 8, 4), Ok(0));
+        // A read straddling the end of the backing: the backed half is real.
+        assert_eq!(m.read(layout::TCDM_BASE + 96, 8), Ok(0x0101_0101));
+        assert_eq!(m.backed_bytes(), 140);
+        // A store past the end grows the backing to cover it.
+        m.write(layout::TCDM_BASE + 5000, 8, u64::MAX).unwrap();
+        assert!(m.backed_bytes() >= 5048);
+        assert_eq!(m.read(layout::TCDM_BASE + 5000, 8), Ok(u64::MAX));
+        assert_eq!(m.read(layout::TCDM_BASE + 96, 8), Ok(0x0101_0101));
+        // Clear drops the contents; the next image sizes the backing afresh.
+        m.clear();
+        assert_eq!(m.read(layout::TCDM_BASE + 5000, 8), Ok(0));
+        assert_eq!(m.read(layout::TCDM_BASE, 8), Ok(0));
+        m.load_images(&[3; 16], &[4; 16]);
+        assert_eq!(m.backed_bytes(), 32);
+        assert_eq!(m.read(layout::TCDM_BASE + 12, 8), Ok(0x0303_0303));
     }
 
     #[test]

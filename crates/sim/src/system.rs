@@ -32,7 +32,7 @@ use snitch_trace::{TraceEvent, Tracer};
 use crate::cluster::Cluster;
 use crate::config::SystemConfig;
 use crate::error::RunError;
-use crate::mem::MemFault;
+use crate::mem::{self, MemFault, Region};
 use crate::stats::Stats;
 
 /// A system of one or more Snitch clusters sharing an L2 region.
@@ -40,11 +40,10 @@ use crate::stats::Stats;
 pub struct System {
     cfg: SystemConfig,
     clusters: Vec<Cluster>,
-    /// Canonical shared-L2 contents (authoritative between cluster runs).
-    l2: Vec<u8>,
-    /// High-water mark of meaningful canonical L2 bytes (image + merges):
-    /// bounds how much each sync-in copies.
-    l2_live: usize,
+    /// Canonical shared-L2 contents (authoritative between cluster runs;
+    /// unused by a single-cluster system). Its written range (image +
+    /// merges) bounds how much each sync-in copies.
+    l2: Region,
     /// System rollup, refreshed by [`run`](Self::run).
     stats: Stats,
 }
@@ -70,9 +69,7 @@ impl System {
                 c.join_system(cfg.clusters, k);
             }
         }
-        // The canonical L2 buffer is only needed when sync steps exist.
-        let l2 = if cfg.clusters > 1 { vec![0; layout::L2_SIZE as usize] } else { Vec::new() };
-        System { cfg, clusters, l2, l2_live: 0, stats: Stats::default() }
+        System { cfg, clusters, l2: Region::default(), stats: Stats::default() }
     }
 
     /// The configuration this system was built with.
@@ -104,23 +101,18 @@ impl System {
         for c in &mut self.clusters {
             c.load_program(program);
         }
-        let image = program.l2_image();
         if self.clusters.len() > 1 {
-            self.l2[..image.len()].copy_from_slice(image);
+            self.l2.put(0, program.l2_image());
         }
-        self.l2_live = image.len();
     }
 
-    /// Restores the just-constructed state, reusing every allocation (the
-    /// per-cluster reset contract, plus the canonical L2 watermark).
+    /// Restores the just-constructed state (the per-cluster reset
+    /// contract, plus the canonical L2).
     pub fn reset(&mut self) {
         for c in &mut self.clusters {
             c.reset();
         }
-        if self.l2_live > 0 && !self.l2.is_empty() {
-            self.l2[..self.l2_live].fill(0);
-        }
-        self.l2_live = 0;
+        self.l2.clear();
         self.stats = Stats::default();
     }
 
@@ -157,21 +149,16 @@ impl System {
     /// Copies the canonical L2 and the peer-TCDM snapshots into cluster
     /// `k`'s memory before it runs.
     fn sync_in(&mut self, k: usize) {
-        if self.l2_live > 0 {
-            let live = &self.l2[..self.l2_live];
-            self.clusters[k].mem_mut().sync_l2_in(0, live);
+        if let Some((off, live)) = self.l2.written() {
+            self.clusters[k].mem_mut().sync_l2_in(off, live);
         }
         // Peer snapshots: cluster k sees every other cluster's TCDM as
         // written so far (post-run for j < k, pre-run images for j > k).
-        for j in 0..self.clusters.len() {
-            if j == k {
-                continue;
+        for j in (0..self.clusters.len()).filter(|&j| j != k) {
+            let [dst, src] = self.clusters.get_disjoint_mut([k, j]).expect("distinct clusters");
+            if let Some((off, bytes)) = src.mem().tcdm_written() {
+                dst.mem_mut().sync_peer_in(j, off, bytes);
             }
-            let Some((off, bytes)) = self.clusters[j].mem().tcdm_written() else {
-                continue;
-            };
-            let copy = bytes.to_vec();
-            self.clusters[k].mem_mut().sync_peer_in(j, off, &copy);
         }
     }
 
@@ -179,19 +166,13 @@ impl System {
     /// remote-window stores to the owning clusters' TCDMs.
     fn merge_out(&mut self, k: usize) {
         if let Some((off, bytes)) = self.clusters[k].mem_mut().take_l2_touched() {
-            let copy = bytes.to_vec();
-            self.l2[off..off + copy.len()].copy_from_slice(&copy);
-            self.l2_live = self.l2_live.max(off + copy.len());
+            self.l2.put(off, bytes);
         }
-        for j in 0..self.clusters.len() {
-            if j == k {
-                continue;
+        for j in (0..self.clusters.len()).filter(|&j| j != k) {
+            let [src, dst] = self.clusters.get_disjoint_mut([k, j]).expect("distinct clusters");
+            if let Some((off, bytes)) = src.mem_mut().take_peer_touched(j) {
+                dst.mem_mut().apply_remote_tcdm(off, bytes);
             }
-            let Some((off, bytes)) = self.clusters[k].mem_mut().take_peer_touched(j) else {
-                continue;
-            };
-            let copy = bytes.to_vec();
-            self.clusters[j].mem_mut().apply_remote_tcdm(off, &copy);
         }
     }
 
@@ -216,15 +197,10 @@ impl System {
     ///
     /// Returns [`MemFault`] for unmapped addresses.
     pub fn read_mem(&self, addr: u32, len: u32) -> Result<u64, MemFault> {
-        if self.clusters.len() > 1 && layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
-            let off = (addr - layout::L2_BASE) as usize;
-            let mut v = 0u64;
-            for (i, b) in self.l2[off..off + len as usize].iter().enumerate() {
-                v |= u64::from(*b) << (8 * i);
-            }
-            return Ok(v);
+        match mem::offset_in(addr, len, layout::L2_BASE, layout::L2_SIZE) {
+            Some(off) if self.clusters.len() > 1 => Ok(self.l2.read(off, len)),
+            _ => self.clusters[0].mem().read(addr, len),
         }
-        self.clusters[0].mem().read(addr, len)
     }
 
     /// Convenience: reads an `f64` through [`read_mem`](Self::read_mem).
@@ -234,6 +210,13 @@ impl System {
     /// Returns [`MemFault`] for unmapped addresses.
     pub fn read_f64(&self, addr: u32) -> Result<f64, MemFault> {
         Ok(f64::from_bits(self.read_mem(addr, 8)?))
+    }
+
+    /// Host bytes allocated to back guest memory: every cluster's regions
+    /// plus the canonical L2.
+    #[must_use]
+    pub fn backed_bytes(&self) -> usize {
+        self.l2.backed_bytes() + self.clusters.iter().map(|c| c.mem().backed_bytes()).sum::<usize>()
     }
 
     /// Whether every hart of every cluster has halted.

@@ -285,6 +285,44 @@ fn barrier_deadlock_reported_at_identical_cycles_block_on_vs_off() {
     }
 }
 
+/// A DMA beat from or to unmapped memory is a machine fault, reported with
+/// the faulting address at the same cycle with the burst on and off.
+#[test]
+fn dma_faults_reported_at_identical_cycles_block_on_vs_off() {
+    let out = TCDM_BASE + 256;
+    for (src, dst, bad) in [(0x1000, out, 0x1000), (TCDM_BASE, 0x1000, 0x1000)] {
+        let mut b = ProgramBuilder::new();
+        b.li_u(IntReg::A0, src);
+        b.dmsrc(IntReg::A0);
+        b.li_u(IntReg::A0, dst);
+        b.dmdst(IntReg::A0);
+        b.li(IntReg::A1, 16);
+        b.dmcpyi(IntReg::A2, IntReg::A1);
+        b.label("wait");
+        b.dmstati(IntReg::A3);
+        b.bnez(IntReg::A3, "wait");
+        b.ecall();
+        let p = b.build().unwrap();
+        let run = |block: bool| {
+            let mut c = Cluster::new(ClusterConfig::default());
+            c.set_block_compile(block);
+            c.set_quiescent_skip(block);
+            c.load_program(&p);
+            let result = c.run();
+            assert_eq!(c.block_replayed_cycles() > 0, block, "the burst meets the fault");
+            (result, c.stats().cycles)
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on, off, "dma fault {src:#x} -> {dst:#x}");
+        match on.0 {
+            Err(RunError::Fault(f)) => {
+                assert!(f.to_string().contains(&format!("{bad:#010x}")), "{f}");
+            }
+            other => panic!("expected a fault for {src:#x} -> {dst:#x}, got {other:?}"),
+        }
+    }
+}
+
 /// Everything a tiled-GEMM system run leaves behind, hart by hart: each
 /// hart's counters, integer and FP registers, then every cluster's TCDM and
 /// the shared L2 result matrix.

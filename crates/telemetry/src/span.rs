@@ -16,8 +16,9 @@ pub enum Phase {
     Verify,
     /// Program-cache hit: lookup only.
     CacheHit,
-    /// Constructing a worker's `Cluster` (multi-MiB TCDM/memory
-    /// allocation) because none existed or the configuration changed.
+    /// Constructing a worker's `System` (its clusters' unit trees; guest
+    /// memory is backed later, by what each job writes) because none
+    /// existed or the configuration changed.
     Warm,
     /// Resetting a reused cluster between jobs.
     Reset,
