@@ -118,7 +118,7 @@ impl CoreUnit {
             if ssr.quiescent() {
                 continue;
             }
-            let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
+            let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8))?;
             charge.stats.tcdm_ssr_accesses += u64::from(accesses);
             progressed |= accesses > 0;
             if ssr.armed() {
@@ -316,6 +316,22 @@ impl Cluster {
         self.blocks.clear();
         self.tracer = self.cfg.trace.then(Tracer::new);
         self.profiler = self.cfg.profile.then(Profiler::new);
+    }
+
+    /// Takes the cluster back to the state `load_program(program)` left it
+    /// in before a run: [`reset`](Self::reset) and reload, but keeping the
+    /// block-compile and quiescent-skip settings, the attached profiler and
+    /// the attached tracer with its first `trace_len` events (those recorded
+    /// before the run).
+    pub(crate) fn rewind(&mut self, program: &Program, trace_len: usize) {
+        let (block, skip) = (self.block, self.skip);
+        let (mut tracer, profiler) = (self.tracer.take(), self.profiler.take());
+        self.reset();
+        if let Some(t) = &mut tracer {
+            t.truncate(trace_len);
+        }
+        (self.block, self.skip, self.tracer, self.profiler) = (block, skip, tracer, profiler);
+        self.load_program(program);
     }
 
     /// The configuration this cluster was built with.
@@ -531,7 +547,7 @@ impl Cluster {
             cfg, text, units, dma, mem, arb, tracer, profiler, tcdm_dma_accesses, ..
         } = self;
 
-        for unit in units.iter_mut() {
+        'units: for unit in units.iter_mut() {
             let CoreUnit { core, fpss, ssrs, l0, stats } = unit;
 
             // Parked fast path: a halted hart with an idle FP subsystem and
@@ -573,7 +589,13 @@ impl Cluster {
             }
 
             for (i, ssr) in ssrs.iter_mut().enumerate() {
-                let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8));
+                let accesses = match ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8)) {
+                    Ok(n) => n,
+                    Err(e) => {
+                        fault = Some(e.into());
+                        break 'units;
+                    }
+                };
                 charge.stats.tcdm_ssr_accesses += u64::from(accesses);
                 progressed |= accesses > 0;
                 if accesses > 0 {

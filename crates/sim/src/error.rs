@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use crate::mem::MemFault;
 
@@ -57,6 +58,17 @@ pub enum RunError {
     },
     /// A machine fault (see [`SimFault`]).
     Fault(SimFault),
+    /// Backward dataflow between the clusters of a multi-cluster system:
+    /// cluster `reader` read L2 bytes that the later cluster `writer`
+    /// stores, so under cluster-id execution it saw their pre-run value.
+    OrderDependent {
+        /// The cluster that read the bytes.
+        reader: usize,
+        /// The later cluster that stored them.
+        writer: usize,
+        /// The first run of such bytes, as L2 addresses.
+        range: Range<u32>,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -68,6 +80,12 @@ impl fmt::Display for RunError {
             }
             RunError::PcOutOfRange { pc } => write!(f, "pc {pc:#010x} outside text section"),
             RunError::Fault(e) => write!(f, "machine fault: {e}"),
+            RunError::OrderDependent { reader, writer, range } => write!(
+                f,
+                "cluster {reader} read L2 {:#010x}..{:#010x}, which later cluster {writer} \
+                 stores: the value depends on cluster order",
+                range.start, range.end
+            ),
         }
     }
 }

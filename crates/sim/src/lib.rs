@@ -36,7 +36,7 @@ pub mod mem;
 pub mod ssr;
 pub mod stats;
 pub mod system;
-#[cfg(feature = "testing")]
+#[cfg(any(test, feature = "testing"))]
 pub mod testing;
 
 pub use cluster::Cluster;

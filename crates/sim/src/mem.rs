@@ -5,6 +5,8 @@
 //! Units request a bank through [`TcdmArbiter`] each cycle; a denied request
 //! is retried the next cycle by the requesting unit.
 
+use std::cell::Cell;
+
 use snitch_asm::layout;
 
 /// Identifies a TCDM master port for arbitration and statistics. With a
@@ -144,7 +146,7 @@ pub(crate) struct Region {
     /// Byte range written since the last clear: images, syncs and stores.
     written: (usize, usize),
     /// Byte range stored by the owning cluster's units since the last take
-    /// (what the `System` merges out of the L2 copy and the peer windows).
+    /// (what the `System` applies from a peer window to its owner).
     touched: (usize, usize),
 }
 
@@ -233,6 +235,83 @@ impl Region {
     }
 }
 
+/// One bit per byte of a region: which bytes the owning cluster's units
+/// stored since the last run began. Backed as far as the highest stored
+/// byte, like a [`Region`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ByteMask {
+    words: Vec<u64>,
+}
+
+/// A mask with no byte set.
+static NO_BYTES: ByteMask = ByteMask { words: Vec::new() };
+
+impl ByteMask {
+    /// Marks `lo..hi`.
+    fn set(&mut self, lo: usize, hi: usize) {
+        let last = (hi - 1) / 64;
+        if last >= self.words.len() {
+            self.words.resize((last + 1).next_multiple_of(GROW_STEP / 64), 0);
+        }
+        for w in lo / 64..=last {
+            self.words[w] |= word_bits(w, lo, hi);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
+    }
+
+    /// The first maximal run of bytes inside `lo..hi` that are marked here
+    /// but not in `minus`, as `(start, end)`.
+    fn first_run(&self, lo: usize, hi: usize, minus: &ByteMask) -> Option<(usize, usize)> {
+        let hi = hi.min(self.words.len() * 64);
+        let live = |w: usize| self.word(w) & !minus.word(w) & word_bits(w, lo, hi);
+        let mut w = lo / 64;
+        let start = loop {
+            if w * 64 >= hi {
+                return None;
+            }
+            match live(w) {
+                0 => w += 1,
+                bits => break w * 64 + bits.trailing_zeros() as usize,
+            }
+        };
+        let mut w = start / 64;
+        let mut gaps = !live(w) & (u64::MAX << (start % 64));
+        while gaps == 0 {
+            w += 1;
+            gaps = !live(w);
+        }
+        Some((start, w * 64 + gaps.trailing_zeros() as usize))
+    }
+
+    /// Every maximal run of marked bytes, in address order.
+    fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let run = self.first_run(at, usize::MAX, &NO_BYTES)?;
+            at = run.1;
+            Some(run)
+        })
+    }
+}
+
+/// The bits of mask word `w` that fall inside byte range `lo..hi`.
+fn word_bits(w: usize, lo: usize, hi: usize) -> u64 {
+    let base = w * 64;
+    let (s, e) = (lo.saturating_sub(base).min(64), hi.saturating_sub(base).min(64));
+    if s >= e {
+        0
+    } else {
+        (u64::MAX >> (64 - (e - s))) << s
+    }
+}
+
 /// Indices into [`Memory`]'s region table: the TCDM, main memory, the L2
 /// copy, then one remote-TCDM snapshot per cluster (`PEERS + k`).
 const TCDM: usize = 0;
@@ -249,8 +328,8 @@ const PEERS: usize = 3;
 pub struct Memory {
     /// Every region, by the indices above. The L2 entry is a local copy in
     /// a multi-cluster `System`, which keeps the canonical contents, syncs
-    /// them in before the cluster runs and merges the touched range back
-    /// out afterwards; in a standalone run it *is* the L2. Peer snapshots
+    /// them in before the cluster runs and merges the stored bytes back out
+    /// afterwards; in a standalone run it *is* the L2. Peer snapshots
     /// back the remote alias windows (the own-cluster entry stays unused:
     /// the own window routes to the TCDM).
     regions: [Region; PEERS + layout::MAX_CLUSTERS],
@@ -259,6 +338,15 @@ pub struct Memory {
     clusters: usize,
     /// Which cluster this memory belongs to.
     self_cluster: usize,
+    /// L2 byte range read by this cluster's units (core, FP subsystem,
+    /// streamers, DMA) since the run began. A cell, because reads take
+    /// `&self`.
+    l2_reads: Cell<(usize, usize)>,
+    /// The L2 bytes this cluster's units stored since the run began.
+    l2_stored: ByteMask,
+    /// Whether this cluster's units read or wrote a remote alias window
+    /// since the run began.
+    peer_access: Cell<bool>,
 }
 
 /// Error for an access outside the mapped regions.
@@ -290,7 +378,14 @@ impl Memory {
     /// store writes it.
     #[must_use]
     pub fn new() -> Self {
-        Memory { regions: std::array::from_fn(|_| Region::default()), clusters: 0, self_cluster: 0 }
+        Memory {
+            regions: std::array::from_fn(|_| Region::default()),
+            clusters: 0,
+            self_cluster: 0,
+            l2_reads: Cell::new(CLEAN),
+            l2_stored: ByteMask::default(),
+            peer_access: Cell::new(false),
+        }
     }
 
     /// Loads initial images (from an assembled program).
@@ -326,6 +421,39 @@ impl Memory {
     /// constructed one.
     pub fn clear(&mut self) {
         self.regions.iter_mut().for_each(Region::clear);
+        self.begin_run();
+    }
+
+    /// Starts a run's access tracking: forgets the L2 reads, the L2 stored
+    /// bytes and any remote-window access seen so far.
+    pub(crate) fn begin_run(&mut self) {
+        self.l2_reads.set(CLEAN);
+        self.l2_stored.clear();
+        self.peer_access.set(false);
+    }
+
+    /// Records a read of `off..off + len` in region `region` (L2 or a
+    /// remote window; the TCDM and main memory are private and untracked).
+    #[inline]
+    fn note_read(&self, region: usize, off: usize, len: u32) {
+        if region == L2 {
+            let mut reads = self.l2_reads.get();
+            widen(&mut reads, off, off + len as usize);
+            self.l2_reads.set(reads);
+        } else {
+            self.peer_access.set(true);
+        }
+    }
+
+    /// Records a store to `off..off + len` in region `region`, as
+    /// [`note_read`](Self::note_read) does for reads.
+    #[inline]
+    fn note_store(&mut self, region: usize, off: usize, len: u32) {
+        if region == L2 {
+            self.l2_stored.set(off, off + len as usize);
+        } else {
+            self.peer_access.set(true);
+        }
     }
 
     /// Resolves an access to its region index and the offset into it, or
@@ -365,8 +493,8 @@ impl Memory {
     // ---- System synchronisation (multi-cluster runs) ----
 
     /// Overwrites `l2[off..off+data.len()]` with canonical bytes from the
-    /// `System`. Counts toward the written range but not toward the
-    /// cluster's own touched range.
+    /// `System`. Counts toward the written range but not as a store by the
+    /// cluster's units.
     pub fn sync_l2_in(&mut self, off: usize, data: &[u8]) {
         self.regions[L2].put(off, data);
     }
@@ -377,20 +505,34 @@ impl Memory {
         self.regions[PEERS + k].put(off, data);
     }
 
-    /// The `l2` range written by this cluster's own units since the last
-    /// take, as `(offset, bytes)`; resets the watermark.
-    pub fn take_l2_touched(&mut self) -> Option<(usize, &[u8])> {
-        self.take_touched(L2)
+    /// The L2 bytes this cluster's own units stored since the run began
+    /// (or the last [`clear`](Self::clear)), run by run as
+    /// `(offset, bytes)` in address order: exactly what the `System`
+    /// merges into the canonical L2.
+    pub fn l2_stored(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        let l2 = &self.regions[L2].bytes;
+        self.l2_stored.runs().map(move |(lo, hi)| (lo, &l2[lo..hi]))
+    }
+
+    /// The first run of L2 bytes, as `(start, end)` offsets, that this
+    /// cluster's units read since the run began and `writer`'s units
+    /// stored, leaving out the bytes this cluster stored too if
+    /// `except_own`.
+    pub(crate) fn l2_read_of(&self, writer: &Memory, except_own: bool) -> Option<(usize, usize)> {
+        let (lo, hi) = self.l2_reads.get();
+        writer.l2_stored.first_run(lo, hi, if except_own { &self.l2_stored } else { &NO_BYTES })
+    }
+
+    /// Whether this cluster's units read or wrote a remote alias window
+    /// since the run began.
+    pub(crate) fn peer_access(&self) -> bool {
+        self.peer_access.get()
     }
 
     /// The bytes this cluster stored into peer `k`'s alias window since the
     /// last take (to be applied to the owner's TCDM); resets the watermark.
     pub fn take_peer_touched(&mut self, k: usize) -> Option<(usize, &[u8])> {
-        self.take_touched(PEERS + k)
-    }
-
-    fn take_touched(&mut self, region: usize) -> Option<(usize, &[u8])> {
-        let region = &mut self.regions[region];
+        let region = &mut self.regions[PEERS + k];
         let range = std::mem::replace(&mut region.touched, CLEAN);
         region.span(range)
     }
@@ -422,6 +564,9 @@ impl Memory {
     #[inline]
     pub fn read(&self, addr: u32, len: u32) -> Result<u64, MemFault> {
         let (region, off) = self.locate(addr, len)?;
+        if region >= L2 {
+            self.note_read(region, off, len);
+        }
         Ok(self.regions[region].read(off, len))
     }
 
@@ -434,6 +579,9 @@ impl Memory {
     pub fn write(&mut self, addr: u32, len: u32, value: u64) -> Result<(), MemFault> {
         let (region, off) = self.locate(addr, len)?;
         self.regions[region].store(off, len, value);
+        if region >= L2 {
+            self.note_store(region, off, len);
+        }
         Ok(())
     }
 
@@ -534,9 +682,10 @@ mod tests {
         let mut m = Memory::new();
         m.write(layout::L2_BASE + 40, 8, 0xfeed_f00d).unwrap();
         assert_eq!(m.read(layout::L2_BASE + 40, 8).unwrap(), 0xfeed_f00d);
-        assert_eq!(m.take_l2_touched().map(|(off, b)| (off, b.len())), Some((40, 8)));
-        assert_eq!(m.take_l2_touched(), None, "take resets the watermark");
+        let stored = |m: &Memory| m.l2_stored().map(|(off, b)| (off, b.len())).collect::<Vec<_>>();
+        assert_eq!(stored(&m), [(40, 8)]);
         m.clear();
+        assert_eq!(stored(&m), [], "clear forgets the stored bytes");
         assert_eq!(m.read(layout::L2_BASE + 40, 8).unwrap(), 0);
     }
 
@@ -547,7 +696,7 @@ mod tests {
         m.sync_l2_in(64, &[7; 8]);
         assert_eq!(m.read(layout::L2_BASE, 8).unwrap(), 0x0909_0909_0909_0909);
         assert_eq!(m.read(layout::L2_BASE + 64, 8).unwrap(), 0x0707_0707_0707_0707);
-        assert_eq!(m.take_l2_touched(), None, "sync-in must not mark the merge-out range");
+        assert_eq!(m.l2_stored().count(), 0, "sync-in must not mark bytes to merge out");
         m.clear();
         assert_eq!(m.read(layout::L2_BASE, 8).unwrap(), 0, "sync-in still counts for clear");
         assert_eq!(m.read(layout::L2_BASE + 64, 8).unwrap(), 0);
@@ -628,6 +777,59 @@ mod tests {
         m.load_images(&[3; 16], &[4; 16]);
         assert_eq!(m.backed_bytes(), 32);
         assert_eq!(m.read(layout::TCDM_BASE + 12, 8), Ok(0x0303_0303));
+    }
+
+    #[test]
+    fn byte_mask_finds_runs_across_words() {
+        let mut m = ByteMask::default();
+        m.set(60, 68);
+        m.set(70, 72);
+        m.set(200, 201);
+        assert_eq!(m.runs().collect::<Vec<_>>(), [(60, 68), (70, 72), (200, 201)]);
+        assert_eq!(m.first_run(0, 1000, &NO_BYTES), Some((60, 68)));
+        assert_eq!(m.first_run(64, 66, &NO_BYTES), Some((64, 66)), "clipped to the range");
+        assert_eq!(m.first_run(68, 70, &NO_BYTES), None);
+        assert_eq!(m.first_run(usize::MAX, 0, &NO_BYTES), None, "an empty range");
+        let mut minus = ByteMask::default();
+        minus.set(60, 66);
+        assert_eq!(m.first_run(0, 1000, &minus), Some((66, 68)));
+        m.clear();
+        assert_eq!(m.runs().count(), 0);
+    }
+
+    #[test]
+    fn l2_read_watermark_covers_core_loads_and_dma_beats() {
+        use crate::cluster::Cluster;
+        use crate::config::ClusterConfig;
+        use snitch_asm::builder::ProgramBuilder;
+        use snitch_riscv::reg::IntReg;
+
+        // One word loaded by the core, 64 bytes copied by the DMA engine.
+        let mut b = ProgramBuilder::new();
+        let word = b.l2_f64("word", &[1.0]);
+        let block = b.l2_f64("block", &[2.0; 8]);
+        let dst = b.tcdm_reserve("dst", 64, 8);
+        b.li_u(IntReg::A0, word);
+        b.lw(IntReg::A1, IntReg::A0, 4);
+        b.li_u(IntReg::A0, block);
+        b.dmsrc(IntReg::A0);
+        b.li_u(IntReg::A0, dst);
+        b.dmdst(IntReg::A0);
+        b.li(IntReg::A1, 64);
+        b.dmcpyi(IntReg::A2, IntReg::A1);
+        b.label("wait");
+        b.dmstati(IntReg::A3);
+        b.bnez(IntReg::A3, "wait");
+        b.ecall();
+        let p = b.build().unwrap();
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.load_program(&p);
+        c.run().unwrap();
+        let off = |addr: u32| (addr - layout::L2_BASE) as usize;
+        let (lo, hi) = c.mem().l2_reads.get();
+        assert_eq!((lo, hi), (off(word) + 4, off(block) + 64), "the load and every beat");
+        assert!(!c.mem().peer_access());
+        assert_eq!(c.mem().l2_stored().count(), 0, "reads store nothing");
     }
 
     #[test]

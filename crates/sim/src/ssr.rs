@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use snitch_riscv::csr::SsrCfgWord;
 
-use crate::mem::{Memory, TcdmArbiter, TcdmPort};
+use crate::mem::{MemFault, Memory, TcdmArbiter, TcdmPort};
 
 /// Shadow configuration written by `scfgwi`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -257,10 +257,20 @@ impl Ssr {
     /// One cycle of streamer work: fill the read FIFO or drain the write
     /// FIFO, with TCDM bank arbitration as `port`. Returns the number of
     /// TCDM accesses performed (0 or 1).
-    pub fn step(&mut self, mem: &mut Memory, arb: &mut TcdmArbiter, port: TcdmPort) -> u32 {
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MemFault`] of an index fetch, element fetch or element
+    /// store to unmapped memory.
+    pub fn step(
+        &mut self,
+        mem: &mut Memory,
+        arb: &mut TcdmArbiter,
+        port: TcdmPort,
+    ) -> Result<u32, MemFault> {
         if !self.active || self.done_generating && self.cfg.write_mode && self.data_fifo.is_empty()
         {
-            return 0;
+            return Ok(0);
         }
         if self.cfg.write_mode {
             self.step_write(mem, arb, port)
@@ -269,14 +279,19 @@ impl Ssr {
         }
     }
 
-    fn step_read(&mut self, mem: &mut Memory, arb: &mut TcdmArbiter, port: TcdmPort) -> u32 {
+    fn step_read(
+        &mut self,
+        mem: &mut Memory,
+        arb: &mut TcdmArbiter,
+        port: TcdmPort,
+    ) -> Result<u32, MemFault> {
         if self.done_generating {
-            return 0;
+            return Ok(0);
         }
         // Need room for the element and its repeats.
         let copies = self.cfg.repeat as usize + 1;
         if self.data_fifo.len() + copies > self.fifo_capacity.max(copies) {
-            return 0;
+            return Ok(0);
         }
         if self.cfg.indirect {
             // Phase 1: fetch the index; phase 2: fetch the data.
@@ -285,38 +300,39 @@ impl Ssr {
                     let idx_bytes = 1u32 << self.cfg.idx_size_log2;
                     let idx_addr = self.cfg.idx_base.wrapping_add(self.idx_counter * idx_bytes);
                     if !arb.request(port, idx_addr) {
-                        return 0;
+                        return Ok(0);
                     }
-                    let idx = mem.read(idx_addr, idx_bytes).expect("issr index fetch") as u32;
+                    let idx = mem.read(idx_addr, idx_bytes)? as u32;
                     self.pending_index = Some(idx);
                     self.idx_counter += 1;
-                    1
+                    Ok(1)
                 }
                 Some(idx) => {
                     let addr = self.cfg.base.wrapping_add(idx * self.elem_bytes());
                     if !arb.request(port, addr) {
-                        return 0;
+                        return Ok(0);
                     }
-                    let bits = self.read_elem(mem, addr);
+                    let bits = self.read_elem(mem, addr)?;
                     self.finish_element(bits);
                     self.pending_index = None;
-                    1
+                    Ok(1)
                 }
             }
         } else {
             let addr = self.current_addr();
             if !arb.request(port, addr) {
-                return 0;
+                return Ok(0);
             }
-            let bits = self.read_elem(mem, addr);
+            let bits = self.read_elem(mem, addr)?;
             self.finish_element(bits);
-            1
+            Ok(1)
         }
     }
 
-    fn read_elem(&mut self, mem: &Memory, addr: u32) -> u64 {
+    fn read_elem(&mut self, mem: &Memory, addr: u32) -> Result<u64, MemFault> {
+        let bits = mem.read(addr, self.elem_bytes())?;
         self.beats += 1;
-        mem.read(addr, self.elem_bytes()).expect("ssr data fetch")
+        Ok(bits)
     }
 
     fn finish_element(&mut self, bits: u64) {
@@ -328,15 +344,20 @@ impl Ssr {
         }
     }
 
-    fn step_write(&mut self, mem: &mut Memory, arb: &mut TcdmArbiter, port: TcdmPort) -> u32 {
+    fn step_write(
+        &mut self,
+        mem: &mut Memory,
+        arb: &mut TcdmArbiter,
+        port: TcdmPort,
+    ) -> Result<u32, MemFault> {
         let Some(&bits) = self.data_fifo.front() else {
-            return 0;
+            return Ok(0);
         };
         let addr = self.current_addr();
         if !arb.request(port, addr) {
-            return 0;
+            return Ok(0);
         }
-        mem.write(addr, self.elem_bytes(), bits).expect("ssr data store");
+        mem.write(addr, self.elem_bytes(), bits)?;
         self.data_fifo.pop_front();
         self.beats += 1;
         if !self.advance() {
@@ -344,7 +365,7 @@ impl Ssr {
             // Anything pushed beyond the pattern would be a kernel bug; the
             // busy() condition keeps the streamer owned until drained.
         }
-        1
+        Ok(1)
     }
 }
 
@@ -375,7 +396,7 @@ mod tests {
         let mut popped = Vec::new();
         for _ in 0..16 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
             if s.read_available() {
                 popped.push(s.pop());
             }
@@ -400,7 +421,7 @@ mod tests {
         let mut popped = Vec::new();
         for _ in 0..16 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
             while s.read_available() {
                 popped.push(s.pop());
             }
@@ -428,7 +449,7 @@ mod tests {
         let mut popped = Vec::new();
         for _ in 0..20 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
             while s.read_available() {
                 popped.push(s.pop());
             }
@@ -453,7 +474,7 @@ mod tests {
         assert!(s.busy());
         for _ in 0..8 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
         }
         assert!(!s.busy());
         assert_eq!(mem.read(TCDM_BASE + 64, 8).unwrap(), 10);
@@ -482,7 +503,7 @@ mod tests {
         let mut popped = Vec::new();
         for _ in 0..20 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
             while s.read_available() {
                 popped.push(s.pop());
             }
@@ -506,7 +527,7 @@ mod tests {
         let mut popped = Vec::new();
         for _ in 0..8 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
             while s.read_available() {
                 popped.push(s.pop());
             }
@@ -522,7 +543,7 @@ mod tests {
         // Never pop: the streamer must stop at FIFO capacity.
         for _ in 0..32 {
             arb.begin_cycle();
-            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0));
+            s.step(&mut mem, &mut arb, TcdmPort::Ssr(0, 0)).unwrap();
         }
         assert_eq!(s.beats(), 4, "prefetch limited by fifo depth");
     }

@@ -2,14 +2,13 @@
 //!
 //! # Execution and memory-visibility model
 //!
-//! Clusters execute **sequentially to completion in cluster-id order**; the
-//! system's elapsed cycles are the maximum over clusters (they would run
-//! concurrently in hardware). The canonical L2 contents live here; each
-//! cluster's [`Memory`](crate::mem::Memory) holds a local L2 copy that is
-//! synced in before the
-//! cluster runs and whose self-written range is merged back out afterwards.
-//! Remote-TCDM alias windows work the same way, against per-cluster snapshot
-//! buffers.
+//! Results are those of running the clusters **sequentially to completion
+//! in cluster-id order**; the system's elapsed cycles are the maximum over
+//! clusters (they would run concurrently in hardware). The canonical L2
+//! contents live here; each cluster's [`Memory`](crate::mem::Memory) holds
+//! a local L2 copy that is synced in before the cluster runs and whose
+//! stored bytes are merged back out afterwards. Remote-TCDM alias windows
+//! work the same way, against per-cluster snapshot buffers.
 //!
 //! The resulting visibility rule is simple and deterministic: cluster `k`
 //! observes the L2 and the TCDMs of clusters `j < k` *after* those clusters
@@ -18,11 +17,36 @@
 //! structure it in cluster-id order (the tiled kernels do: every cluster
 //! reads shared inputs from L2 and writes disjoint outputs back). Run-to-run
 //! this is exactly reproducible, which is what the engine's determinism
-//! contract needs.
+//! contract needs. A cluster that reads L2 bytes only a later cluster
+//! stores would see their pre-run value, which depends on the order, so
+//! the run fails with [`RunError::OrderDependent`] instead. (Bytes the
+//! reader stores too are exempt: a read-modify-write chain through them,
+//! like a cross-cluster sum, is what the order defines. Remote windows are
+//! not checked.)
+//!
+//! # Concurrent execution
+//!
+//! Straight after [`load_program`](System::load_program), [`run`](System::run)
+//! executes the clusters concurrently on at most `available_parallelism()`
+//! scoped threads, every cluster syncing in the pre-run L2 and TCDM images.
+//! Each cluster's memory records the L2 byte range its units read and, one
+//! bit per byte, the L2 bytes they stored. When no cluster touched a remote
+//! window and no cluster read an L2 byte that an earlier cluster stored,
+//! every cluster saw exactly what cluster-id order would have shown it, and
+//! the stored bytes merge in that order. Otherwise cluster 0's run stands
+//! (its inputs are the same in both orders), and clusters `1..` are rewound
+//! to their loaded state — reset and reloaded from the program copy the
+//! system keeps, with their settings and instrumentation — and re-run in
+//! order. Either way the result is that of cluster-id order, deterministic
+//! by construction.
 //!
 //! A `clusters == 1` system delegates directly to [`Cluster::run`] with no
 //! sync steps at all, so single-cluster runs are bit-identical — stats,
 //! registers, memory and trace — to driving a [`Cluster`] by hand.
+
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
+use std::{panic, thread};
 
 use snitch_asm::layout;
 use snitch_asm::program::Program;
@@ -35,6 +59,28 @@ use crate::error::RunError;
 use crate::mem::{self, MemFault, Region};
 use crate::stats::Stats;
 
+/// Applies `f` to every item on at most `available_parallelism()` threads,
+/// each taking a contiguous chunk of items (the calling thread takes the
+/// first). Results come back in item order; a panic on another thread
+/// resumes on the caller with its original payload.
+fn on_threads<T: Send, R: Send>(items: &mut [T], f: fn(&mut T) -> R) -> Vec<R> {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    let threads =
+        *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    let chunk = items.len().div_ceil(threads.min(items.len()));
+    let run_all = move |chunk: &mut [T]| chunk.iter_mut().map(f).collect::<Vec<_>>();
+    thread::scope(|s| {
+        let mut chunks = items.chunks_mut(chunk);
+        let own = chunks.next().expect("at least one item");
+        let others: Vec<_> = chunks.map(|c| s.spawn(move || run_all(c))).collect();
+        let mut results = run_all(own);
+        for handle in others {
+            results.extend(handle.join().unwrap_or_else(|panic| panic::resume_unwind(panic)));
+        }
+        results
+    })
+}
+
 /// A system of one or more Snitch clusters sharing an L2 region.
 #[derive(Clone, Debug)]
 pub struct System {
@@ -46,6 +92,13 @@ pub struct System {
     l2: Region,
     /// System rollup, refreshed by [`run`](Self::run).
     stats: Stats,
+    /// The program the clusters were loaded with (multi-cluster systems
+    /// only), kept to rewind clusters `1..` when a concurrent run cannot be
+    /// shown equal to cluster-id order. Taken by [`run`](Self::run): a
+    /// system runs concurrently only straight after a load.
+    pub(crate) program: Option<Program>,
+    /// Whether the last run re-ran clusters `1..` in cluster-id order.
+    pub(crate) reran: bool,
 }
 
 impl System {
@@ -69,7 +122,14 @@ impl System {
                 c.join_system(cfg.clusters, k);
             }
         }
-        System { cfg, clusters, l2: Region::default(), stats: Stats::default() }
+        System {
+            cfg,
+            clusters,
+            l2: Region::default(),
+            stats: Stats::default(),
+            program: None,
+            reran: false,
+        }
     }
 
     /// The configuration this system was built with.
@@ -103,6 +163,7 @@ impl System {
         }
         if self.clusters.len() > 1 {
             self.l2.put(0, program.l2_image());
+            self.program = Some(program.clone());
         }
     }
 
@@ -114,27 +175,40 @@ impl System {
         }
         self.l2.clear();
         self.stats = Stats::default();
+        self.program = None;
+        self.reran = false;
     }
 
-    /// Runs every cluster to completion (in cluster-id order) and returns
-    /// the system rollup: per-cluster stats summed (saturating), elapsed
-    /// cycles = max over clusters.
+    /// Runs every cluster to completion with the results of cluster-id
+    /// order and returns the system rollup: per-cluster stats summed
+    /// (saturating), elapsed cycles = max over clusters.
+    ///
+    /// Straight after [`load_program`](Self::load_program) the clusters
+    /// run concurrently, then are checked against cluster-id order (see
+    /// the module docs); otherwise they run one after another.
     ///
     /// # Errors
     ///
     /// Returns the first cluster's [`RunError`] (faults abort the whole
-    /// system run; the deadlock/watchdog contracts are per-cluster).
+    /// system run; the deadlock/watchdog contracts are per-cluster), or
+    /// [`RunError::OrderDependent`] when a cluster read L2 bytes a later
+    /// cluster stores.
     pub fn run(&mut self) -> Result<Stats, RunError> {
         if self.clusters.len() == 1 {
             let stats = self.clusters[0].run()?;
             self.stats = stats.clone();
             return Ok(stats);
         }
-        for k in 0..self.clusters.len() {
-            self.sync_in(k);
-            self.clusters[k].run()?;
-            self.merge_out(k);
+        self.reran = false;
+        for c in &mut self.clusters {
+            c.mem_mut().begin_run();
         }
+        let loaded = self.clusters.iter().all(|c| c.stats().cycles == 0);
+        match self.program.take().filter(|_| loaded) {
+            Some(program) => self.run_concurrently(&program)?,
+            None => self.run_in_order(0)?,
+        }
+        self.refuse_backward_dataflow()?;
         let mut roll = Stats::default();
         let mut cycles = 0;
         for c in &self.clusters {
@@ -144,6 +218,69 @@ impl System {
         roll.cycles = cycles;
         self.stats = roll.clone();
         Ok(roll)
+    }
+
+    /// Runs clusters `from..` one after another in cluster-id order.
+    fn run_in_order(&mut self, from: usize) -> Result<(), RunError> {
+        for k in from..self.clusters.len() {
+            self.sync_in(k);
+            self.clusters[k].run()?;
+            self.merge_out(k);
+        }
+        Ok(())
+    }
+
+    /// Runs every cluster at once on the pre-run L2 and TCDM images, then
+    /// keeps the result if it equals cluster-id order's. If it may not,
+    /// cluster 0's run stands (its inputs are the same in both orders) and
+    /// clusters `1..` are rewound to their loaded state and re-run in order.
+    fn run_concurrently(&mut self, program: &Program) -> Result<(), RunError> {
+        for k in 0..self.clusters.len() {
+            self.sync_in(k);
+        }
+        let trace_lens: Vec<usize> =
+            self.clusters.iter().map(|c| c.trace_events().map_or(0, <[_]>::len)).collect();
+        let results = on_threads(&mut self.clusters, Cluster::run);
+        if results.iter().all(Result::is_ok) && self.order_free() {
+            for k in 0..self.clusters.len() {
+                self.merge_out(k);
+            }
+            return Ok(());
+        }
+        self.reran = true;
+        for (c, &len) in self.clusters.iter_mut().zip(&trace_lens).skip(1) {
+            c.rewind(program, len);
+        }
+        results.into_iter().next().expect("a system has clusters")?;
+        self.merge_out(0);
+        self.run_in_order(1)
+    }
+
+    /// Whether a concurrent run saw what cluster-id order would have shown
+    /// each cluster: no cluster touched a remote TCDM window, and no
+    /// cluster read an L2 byte that an earlier cluster stored.
+    fn order_free(&self) -> bool {
+        self.clusters.iter().enumerate().all(|(k, reader)| {
+            let mem = reader.mem();
+            !mem.peer_access()
+                && self.clusters[..k].iter().all(|w| mem.l2_read_of(w.mem(), false).is_none())
+        })
+    }
+
+    /// Refuses backward dataflow: cluster `k` read L2 bytes that a later
+    /// cluster stored (and `k` itself did not, which would make them a
+    /// read-modify-write chain that cluster order defines, like a
+    /// cross-cluster sum), so it saw their pre-run value.
+    fn refuse_backward_dataflow(&self) -> Result<(), RunError> {
+        for (reader, r) in self.clusters.iter().enumerate() {
+            for (writer, w) in self.clusters.iter().enumerate().skip(reader + 1) {
+                if let Some((lo, hi)) = r.mem().l2_read_of(w.mem(), true) {
+                    let range = layout::L2_BASE + lo as u32..layout::L2_BASE + hi as u32;
+                    return Err(RunError::OrderDependent { reader, writer, range });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Copies the canonical L2 and the peer-TCDM snapshots into cluster
@@ -162,10 +299,10 @@ impl System {
         }
     }
 
-    /// Merges cluster `k`'s L2 writes into the canonical L2 and applies its
-    /// remote-window stores to the owning clusters' TCDMs.
+    /// Merges the L2 bytes cluster `k` stored into the canonical L2 and
+    /// applies its remote-window stores to the owning clusters' TCDMs.
     fn merge_out(&mut self, k: usize) {
-        if let Some((off, bytes)) = self.clusters[k].mem_mut().take_l2_touched() {
+        for (off, bytes) in self.clusters[k].mem().l2_stored() {
             self.l2.put(off, bytes);
         }
         for j in (0..self.clusters.len()).filter(|&j| j != k) {
@@ -269,6 +406,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
+    use crate::testing::run_in_cluster_order;
     use snitch_asm::builder::ProgramBuilder;
     use snitch_riscv::reg::IntReg;
 
@@ -332,6 +470,7 @@ mod tests {
         let mut sys = System::new(SystemConfig::with_clusters(4));
         sys.load_program(&p);
         let stats = sys.run().unwrap();
+        assert!(sys.reran, "clusters 1.. read what earlier clusters stored");
         assert_eq!(sys.read_mem(acc, 4).unwrap(), 1 + 2 + 3 + 4);
         assert!(stats.l2_accesses >= 8, "every cluster load+store hits L2");
         // System cycles are the max, not the sum.
@@ -365,6 +504,7 @@ mod tests {
         let mut sys = System::new(SystemConfig::with_clusters(2));
         sys.load_program(&p);
         sys.run().unwrap();
+        assert!(sys.reran, "cluster 0 stored through a remote window");
         assert_eq!(sys.cluster(1).mem().read(out, 4).unwrap(), 99);
         assert_eq!(sys.cluster(0).mem().read(out, 4).unwrap(), 0, "cluster 0 took the store path");
     }
@@ -387,5 +527,134 @@ mod tests {
         let second = sys.run().unwrap();
         assert_eq!(first, second);
         assert_eq!(sys.read_mem(acc + 8, 4).unwrap(), word);
+    }
+
+    #[test]
+    fn interleaved_l2_stores_merge_without_overwriting() {
+        // Cluster k stores word 2i + k of `rows` for i in 0..8, so each
+        // cluster's stored range spans the other's words.
+        let mut b = ProgramBuilder::new();
+        let rows = b.l2_reserve("rows", 16 * 8, 8);
+        b.csrr_cluster_id(IntReg::A0);
+        b.slli(IntReg::A3, IntReg::A0, 3);
+        b.li_u(IntReg::A1, rows);
+        b.add(IntReg::A1, IntReg::A1, IntReg::A3);
+        for i in 0..8 {
+            b.addi(IntReg::A2, IntReg::A0, 10 * i + 1);
+            b.sw(IntReg::A2, IntReg::A1, 16 * i);
+        }
+        b.ecall();
+        let p = b.build().unwrap();
+
+        let mut sys = System::new(SystemConfig::with_clusters(2));
+        sys.load_program(&p);
+        let concurrent = sys.run().unwrap();
+        assert!(!sys.reran, "disjoint stores need no re-run");
+        for j in 0..16u32 {
+            let want = u64::from(j % 2 + 10 * (j / 2) + 1);
+            assert_eq!(sys.read_mem(rows + 8 * j, 4).unwrap(), want, "word {j}");
+        }
+        sys.reset();
+        sys.load_program(&p);
+        assert_eq!(run_in_cluster_order(&mut sys).unwrap(), concurrent);
+    }
+
+    #[test]
+    fn backward_l2_dataflow_is_refused() {
+        // Cluster 1 stores a flag that cluster 0 (running first in
+        // cluster-id order) reads.
+        let mut b = ProgramBuilder::new();
+        let flag = b.l2_reserve("flag", 8, 8);
+        let out = b.tcdm_reserve("out", 8, 8);
+        b.csrr_cluster_id(IntReg::A0);
+        b.li_u(IntReg::A1, flag);
+        b.bnez(IntReg::A0, "writer");
+        b.lw(IntReg::A2, IntReg::A1, 0);
+        b.li_u(IntReg::A3, out);
+        b.sw(IntReg::A2, IntReg::A3, 0);
+        b.ecall();
+        b.label("writer");
+        b.li(IntReg::A2, 7);
+        b.sw(IntReg::A2, IntReg::A1, 0);
+        b.ecall();
+        let p = b.build().unwrap();
+
+        let want = RunError::OrderDependent { reader: 0, writer: 1, range: flag..flag + 4 };
+        let mut sys = System::new(SystemConfig::with_clusters(2));
+        sys.load_program(&p);
+        assert_eq!(sys.run(), Err(want.clone()));
+        assert!(want.to_string().contains("cluster 0 read L2"), "{want}");
+        sys.reset();
+        sys.load_program(&p);
+        assert_eq!(run_in_cluster_order(&mut sys), Err(want));
+    }
+
+    #[test]
+    fn rerun_restores_settings_and_instrumentation() {
+        // The forward-dataflow sum re-runs clusters 1..: the fast paths
+        // stay off, and every cluster's tracer and profiler hold exactly
+        // the events and charges of its run in cluster-id order.
+        let mut b = ProgramBuilder::new();
+        let acc = b.l2_reserve("acc", 8, 8);
+        // Taken branches leave silent refill windows for the skip.
+        b.li(IntReg::A4, 3);
+        b.label("spin");
+        b.addi(IntReg::A4, IntReg::A4, -1);
+        b.bnez(IntReg::A4, "spin");
+        b.csrr_cluster_id(IntReg::A0);
+        b.li_u(IntReg::A1, acc);
+        b.lw(IntReg::A2, IntReg::A1, 0);
+        b.add(IntReg::A2, IntReg::A2, IntReg::A0);
+        b.sw(IntReg::A2, IntReg::A1, 0);
+        b.ecall();
+        let p = b.build().unwrap();
+        let run = |in_order: bool, instrumented: bool| {
+            let mut sys = System::new(SystemConfig::with_clusters(3));
+            sys.set_block_compile(false);
+            for k in 0..3 {
+                let c = sys.cluster_mut(k);
+                c.set_quiescent_skip(false);
+                if instrumented {
+                    c.attach_tracer(Tracer::new());
+                    c.attach_profiler(Profiler::new());
+                }
+            }
+            sys.load_program(&p);
+            if in_order {
+                run_in_cluster_order(&mut sys).unwrap();
+            } else {
+                sys.run().unwrap();
+                assert!(sys.reran);
+            }
+            for k in 0..3 {
+                let c = sys.cluster(k);
+                assert_eq!(c.block_replayed_cycles(), 0, "cluster {k}: block compilation off");
+                assert_eq!(c.skipped_cycles(), 0, "cluster {k}: quiescent skip off");
+            }
+            sys
+        };
+        for instrumented in [false, true] {
+            let (concurrent, in_order) = (run(false, instrumented), run(true, instrumented));
+            for k in 0..3 {
+                let (c, o) = (concurrent.cluster(k), in_order.cluster(k));
+                assert_eq!(c.stats(), o.stats(), "cluster {k}");
+                assert_eq!(c.trace_events().is_some_and(|e| !e.is_empty()), instrumented);
+                assert_eq!(c.trace_events(), o.trace_events(), "cluster {k}");
+                assert_eq!(c.profile(), o.profile(), "cluster {k}");
+            }
+            assert_eq!(concurrent.read_mem(acc, 4), Ok(1 + 2));
+        }
+    }
+
+    #[test]
+    fn a_panic_in_any_chunk_keeps_its_message() {
+        let mut items = [0, 1, 2, 3];
+        let outcome = std::panic::catch_unwind(move || {
+            on_threads(&mut items, |x| assert!(*x != 3, "item {x} failed"))
+        });
+        let payload = outcome.expect_err("item 3 panics");
+        let message = payload.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(message, "item 3 failed");
+        assert_eq!(on_threads(&mut [1, 2, 3], |x| *x * 2), [2, 4, 6], "results in item order");
     }
 }

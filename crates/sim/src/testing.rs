@@ -2,8 +2,10 @@
 //!
 //! The seeded random multi-core program generator and the state-capture
 //! helper used by the fast-path equivalence suites (`tests/quiescent_skip.rs`
-//! and `tests/block_compile.rs`). One generator instead of per-suite copies:
-//! a fragment kind added here is exercised against *every* fast path.
+//! and `tests/block_compile.rs`), and the hooks that run a multi-cluster
+//! [`System`] in cluster-id order for `tests/system_order.rs`. One
+//! generator instead of per-suite copies: a fragment kind added here is
+//! exercised against *every* fast path.
 //!
 //! Deterministic by construction (seeded xorshift, no external
 //! property-testing dependency — the repo convention since PR 1); not part
@@ -17,7 +19,9 @@ use snitch_riscv::reg::{FpReg, IntReg};
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
+use crate::error::RunError;
 use crate::stats::Stats;
+use crate::system::System;
 
 /// Small xorshift PRNG for deterministic program generation.
 pub struct Rng(pub u64);
@@ -192,4 +196,22 @@ pub fn observe_with(
     let tcdm: Vec<u64> =
         (0..2048).map(|i| c.mem().read(TCDM_BASE + i * 8, 8).expect("tcdm read")).collect();
     Observation { stats, fp_regs, tcdm }
+}
+
+/// Runs `system` with its clusters one after another in cluster-id order:
+/// the reference a concurrent [`System::run`] must equal.
+///
+/// # Errors
+///
+/// As [`System::run`].
+pub fn run_in_cluster_order(system: &mut System) -> Result<Stats, RunError> {
+    system.program = None;
+    system.run()
+}
+
+/// Whether the last [`System::run`] re-ran clusters `1..` in cluster-id
+/// order because its concurrent run could not be shown equal to it.
+#[must_use]
+pub fn took_rerun(system: &System) -> bool {
+    system.reran
 }

@@ -323,6 +323,67 @@ fn dma_faults_reported_at_identical_cycles_block_on_vs_off() {
     }
 }
 
+/// A streamer reading or writing unmapped memory ends the run with a fault
+/// at the same cycle with the burst on and off: an affine element fetch, an
+/// indirect stream's index fetch and its element fetch, and an element
+/// store.
+#[test]
+fn ssr_faults_reported_at_identical_cycles_block_on_vs_off() {
+    const BAD: u32 = 0x1000;
+    // (status word, index base, data base, push data through ft0)
+    let cases = [
+        ("affine fetch", 0, 0, BAD, false),
+        ("index fetch", 0b1000, BAD, TCDM_BASE, false),
+        ("indirect fetch", 0b1000, TCDM_BASE, BAD, false),
+        ("store", 1, 0, BAD, true),
+    ];
+    for (what, status, idx_base, base, push) in cases {
+        let mut b = ProgramBuilder::new();
+        b.li(IntReg::A0, status);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::Status);
+        b.li(IntReg::A0, 3);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::Bound(0));
+        b.li(IntReg::A0, 8);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::Stride(0));
+        b.li_u(IntReg::A0, idx_base);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::IdxBase);
+        b.li(IntReg::A0, 2);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::IdxSize);
+        b.li_u(IntReg::A0, base);
+        b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // arms
+        b.ssr_enable();
+        if push {
+            b.li(IntReg::A1, 5);
+            b.fcvt_d_w(FpReg::FT0, IntReg::A1);
+        }
+        // Integer work that keeps the hart running past the stream's first
+        // access.
+        b.li(IntReg::A1, 20);
+        b.label("spin");
+        b.addi(IntReg::A1, IntReg::A1, -1);
+        b.bnez(IntReg::A1, "spin");
+        b.ecall();
+        let p = b.build().unwrap();
+        let run = |block: bool| {
+            let mut c = Cluster::new(ClusterConfig::default());
+            c.set_block_compile(block);
+            c.set_quiescent_skip(block);
+            c.load_program(&p);
+            let result = c.run();
+            assert_eq!(c.block_replayed_cycles() > 0, block, "the burst meets the fault");
+            (result, c.stats().clone())
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on, off, "ssr {what}");
+        match on.0 {
+            Err(RunError::Fault(f)) => {
+                assert!(f.to_string().contains(&format!("{BAD:#010x}")), "{f}");
+            }
+            other => panic!("expected a fault for the ssr {what}, got {other:?}"),
+        }
+    }
+}
+
 /// Everything a tiled-GEMM system run leaves behind, hart by hart: each
 /// hart's counters, integer and FP registers, then every cluster's TCDM and
 /// the shared L2 result matrix.

@@ -2,8 +2,10 @@
 //! reference: every region allocated at its mapped size up front, every
 //! range check done in 64-bit arithmetic. Random sequences of reads, writes,
 //! image loads, syncs, remote stores, takes and clears must agree on every
-//! value, every written or touched range and every [`MemFault`], wherever
-//! the memory's backing happens to end.
+//! value, every written or touched range, every stored L2 byte and every
+//! [`MemFault`], wherever the memory's backing happens to end.
+
+use std::collections::BTreeSet;
 
 use snitch_asm::layout::{
     self, CLUSTER_ALIAS_BASE, CLUSTER_ALIAS_STRIDE, L2_BASE, L2_SIZE, MAIN_BASE, MAIN_SIZE,
@@ -13,7 +15,7 @@ use snitch_kernels::registry::{Kernel, Variant};
 use snitch_sim::config::{ClusterConfig, SystemConfig};
 use snitch_sim::mem::{MemFault, Memory};
 use snitch_sim::system::System;
-use snitch_sim::testing::Rng;
+use snitch_sim::testing::{took_rerun, Rng};
 
 /// An empty watermark range.
 const CLEAN: (usize, usize) = (usize::MAX, 0);
@@ -42,7 +44,8 @@ struct Flat {
     peers: Vec<Vec<u8>>,
     self_cluster: usize,
     tcdm_written: (usize, usize),
-    l2_touched: (usize, usize),
+    /// L2 bytes stored through `write` since the last clear.
+    l2_stored: BTreeSet<usize>,
     peers_touched: Vec<(usize, usize)>,
     /// Every span written since the last clear, which zeroes them.
     spans: Vec<(Buf, usize, usize)>,
@@ -57,7 +60,7 @@ impl Flat {
             peers: Vec::new(),
             self_cluster: 0,
             tcdm_written: CLEAN,
-            l2_touched: CLEAN,
+            l2_stored: BTreeSet::new(),
             peers_touched: Vec::new(),
             spans: Vec::new(),
         }
@@ -125,7 +128,7 @@ impl Flat {
         let end = off + len as usize;
         self.put(buf, off, &value.to_le_bytes()[..len as usize]);
         match buf {
-            Buf::L2 => widen(&mut self.l2_touched, off, end),
+            Buf::L2 => self.l2_stored.extend(off..end),
             Buf::Peer(k) => widen(&mut self.peers_touched[k], off, end),
             Buf::Tcdm | Buf::Main => {}
         }
@@ -143,7 +146,7 @@ impl Flat {
             self.buf(buf)[lo..hi].fill(0);
         }
         self.tcdm_written = CLEAN;
-        self.l2_touched = CLEAN;
+        self.l2_stored.clear();
         self.peers_touched.fill(CLEAN);
     }
 
@@ -152,9 +155,16 @@ impl Flat {
         (lo < hi).then(|| (lo, self.tcdm[lo..hi].to_vec()))
     }
 
-    fn take_l2_touched(&mut self) -> Option<(usize, Vec<u8>)> {
-        let (lo, hi) = std::mem::replace(&mut self.l2_touched, CLEAN);
-        (lo < hi).then(|| (lo, self.l2[lo..hi].to_vec()))
+    /// The stored L2 bytes as maximal runs of `(offset, bytes)`.
+    fn l2_stored(&self) -> Vec<(usize, Vec<u8>)> {
+        let mut runs: Vec<(usize, Vec<u8>)> = Vec::new();
+        for &off in &self.l2_stored {
+            match runs.last_mut() {
+                Some((lo, bytes)) if *lo + bytes.len() == off => bytes.push(self.l2[off]),
+                _ => runs.push((off, vec![self.l2[off]])),
+            }
+        }
+        runs
     }
 
     fn take_peer_touched(&mut self, k: usize) -> Option<(usize, Vec<u8>)> {
@@ -273,7 +283,8 @@ fn run_sequence(seed: u64, ops: usize) {
                 flat.put(Buf::Tcdm, off as usize, &data);
             }
             87..=89 => {
-                assert_eq!(owned(mem.take_l2_touched()), flat.take_l2_touched(), "{ctx}");
+                let stored: Vec<_> = mem.l2_stored().map(|(off, b)| (off, b.to_vec())).collect();
+                assert_eq!(stored, flat.l2_stored(), "{ctx}");
                 let own = flat.self_cluster;
                 for k in (0..flat.peers.len()).filter(|&k| k != own) {
                     let (got, want) = (owned(mem.take_peer_touched(k)), flat.take_peer_touched(k));
@@ -328,9 +339,11 @@ fn system_backing_follows_the_program_footprint() {
     let loaded = clusters * (tcdm + main + l2) + l2;
     assert_eq!(sys.backed_bytes(), loaded);
 
-    // The run stores inside the images only, and each of a cluster's peer
-    // snapshots copies at most the TCDM image its owner wrote.
+    // The clusters run concurrently and store inside the images only, and
+    // each of a cluster's peer snapshots copies at most the TCDM image its
+    // owner wrote.
     sys.run().expect("gemm_tiled completes");
+    assert!(!took_rerun(&sys), "gemm_tiled runs its clusters concurrently");
     let peers = sys.backed_bytes() - loaded;
     assert!(peers <= clusters * (clusters - 1) * tcdm, "{peers} bytes of snapshots");
     assert!(sys.read_mem(0xFFFF_FFFC, 8).is_err(), "no overflow at the top of the map");

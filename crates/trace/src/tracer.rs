@@ -56,6 +56,11 @@ impl Tracer {
         self.events
     }
 
+    /// Drops every event after the first `len` (no-op if there are fewer).
+    pub fn truncate(&mut self, len: usize) {
+        self.events.truncate(len);
+    }
+
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
