@@ -338,31 +338,53 @@ const CONCURRENT_CLUSTERS: &str = "\
 The same benchmark before and after `System::run` started running a
 multi-cluster system's clusters on scoped threads, keeping the result
 only when the run shows it equals cluster-id order (DESIGN.md §18). The
-host is the 2-vCPU x86-64 container (`available_parallelism()` = 2, so
-two threads per system), one engine worker. The end-to-end rows come
-from ten interleaved untraced pairs per workload at the benchmark's
-50 s run length, `sim.run_s` from ten interleaved traced pairs at
-15 s; medians with the quartiles in brackets.
+host is the 2-vCPU x86-64 container, one engine worker, so a system
+gets the second hardware thread. The end-to-end rows come from ten
+interleaved untraced pairs per workload at the benchmark's 50 s run
+length, `sim.run_s` from ten interleaved traced pairs at 15 s; medians
+with the quartiles in brackets.
 
 | workload: metric | before | after | better in |
 |---|---:|---:|---:|
-| `scaling-grid`: `sim_mcycles_per_s` | 10.41 [9.82–10.98] | 13.13 [12.19–14.45] | 10 of 10 |
-| `scaling-grid`: `wall_s` | 1.794 s [1.699–1.900] | 1.421 s [1.294–1.531] | 10 of 10 |
-| `scaling-grid`: `peak_rss_mb` | 6.25 MiB [6.25–6.25] | 6.41 MiB [6.40–6.43] | 0 of 10 |
-| `scaling-grid`: `sim.run_s` (traced) | 2.811 s [2.503–2.977] | 2.119 s [2.019–2.209] | 9 of 10 |
-| `fig2`: `wall_s` | 0.231 s [0.220–0.261] | 0.232 s [0.217–0.263] | 3 of 10 |
+| `scaling-grid`: `sim_mcycles_per_s` | 11.38 [11.22–12.01] | 16.19 [14.07–17.50] | 9 of 10 |
+| `scaling-grid`: `wall_s` | 1.640 s [1.555–1.663] | 1.153 s [1.067–1.327] | 9 of 10 |
+| `scaling-grid`: `peak_rss_mb` | 6.25 MiB [6.25–6.25] | 6.52 MiB [6.47–6.52] | 0 of 10 |
+| `scaling-grid`: `setup_s` | 2.41 ms [2.24–2.50] | 2.61 ms [2.48–2.77] | 1 of 10 |
+| `scaling-grid`: `sim.run_s` (traced) | 1.796 s [1.636–1.863] | 1.412 s [1.153–1.467] | 9 of 10 |
+| `fig2`: `wall_s` | 0.193 s [0.190–0.197] | 0.192 s [0.191–0.195] | 5 of 10 |
+| `fig2`: `peak_rss_mb` | 1.15 MiB [1.15–1.15] | 1.19 MiB [1.19–1.19] | 0 of 10 |
 | `sim.cluster_cycles`, every `model.*`, fingerprints | identical | identical | |
 
-`sim_mcycles_per_s` rose 1.26× in the median, by more than the
-parent's 1.17 M cycles/s interquartile spread. The ceiling on two
-threads is 1.50×: the x2 and x4 jobs carry 67% of the per-cluster
+`sim_mcycles_per_s` rose 1.42× in the median, by more than the
+parent's 0.79 M cycles/s interquartile spread. The ceiling on two
+threads is about 1.5×: the x2 and x4 jobs carry 67% of the per-cluster
 cycles, and the x1 jobs still run on one thread. Every `gemm_tiled`
 run passes the check (its clusters read only `A` and `B` and store
-disjoint rows of `C`), so none re-runs. Peak memory rose 0.16 MiB,
-inside the 10% bound; the split between the program copy a system
-keeps to rewind its clusters and the second thread's stack and heap
-was not measured. `fig2` has one cluster per system and does not reach
-the new code; it stayed level.
+disjoint rows of `C`), so none re-runs. Peak memory rose 0.26 MiB,
+inside the 10% bound: the program copy a system keeps to rewind its
+clusters, the second thread's stack and heap, and the per-byte L2 read
+masks (the split was not measured). `fig2` has one cluster per system
+and its time stayed level; its peak memory rose 0.04 MiB (3%).
+
+The gain above is for one engine worker. Under the engine's default
+pool (one worker per hardware thread) every hardware thread is already
+busy, and a system that spawned threads of its own would run up to P²
+threads on P CPUs. So a system spawns threads only for hardware
+threads no worker occupies (DESIGN.md §18). `sweep scaling-grid`
+end to end (host wall time of the whole process), twelve rounds on the
+same host, the three builds in rotating order, medians with quartiles:
+
+| `sweep scaling-grid` | before | concurrent, every system takes `available_parallelism()` threads | concurrent, idle hardware threads only |
+|---|---:|---:|---:|
+| default pool (2 workers; same as `--workers 2` here) | 1.349 s [1.301–1.402] | 1.283 s [1.199–1.363] | 1.340 s [1.193–1.492] |
+| `--workers 1` | 2.419 s [2.179–2.808] | 1.886 s [1.794–2.020] | 1.809 s [1.623–1.994] |
+
+At the default pool all three are level: each beat the other in 6 or
+7 of 12 rounds. An earlier 12-pair set of before against the final
+build at the default pool had the final build faster in all 12, by
+11% in the median, so this host cannot resolve a difference there
+either way. At one worker the final build was faster than before in
+12 of 12 rounds (1.32× in the median).
 
 ";
 

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use snitch_sim::system::System;
+use snitch_sim::system::{occupy_host_thread, System};
 use snitch_telemetry::{Phase, Telemetry, MAIN_WORKER};
 
 use crate::cache::ProgramCache;
@@ -99,6 +99,9 @@ impl Engine {
                 let tel = telemetry.clone();
                 let (slots, cursor) = (&slots, &cursor);
                 s.spawn(move || {
+                    // Counted busy, so multi-cluster runs spawn threads
+                    // only for hardware threads no worker occupies.
+                    let _busy = occupy_host_thread();
                     let worker = u32::try_from(w).unwrap_or(u32::MAX - 1);
                     // One system per worker, rebuilt only on config change.
                     let mut system: Option<System> = None;

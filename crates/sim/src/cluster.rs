@@ -334,6 +334,11 @@ impl Cluster {
         self.load_program(program);
     }
 
+    /// The current cycle.
+    pub(crate) fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
     /// The configuration this cluster was built with.
     #[must_use]
     pub fn config(&self) -> &ClusterConfig {
@@ -689,33 +694,53 @@ impl Cluster {
     /// [`RunError::Deadlock`] if no unit makes progress for an extended
     /// window, and [`RunError::Fault`] on machine faults.
     pub fn run(&mut self) -> Result<Stats, RunError> {
-        let result = self.run_inner();
+        let result = self.run_inner(u64::MAX);
         self.refresh_rollup();
-        result.map(|()| self.stats.clone())
+        result.map(|_| self.stats.clone())
     }
 
-    fn run_inner(&mut self) -> Result<(), RunError> {
+    /// [`run`](Self::run), pausing once the clock reaches `until`:
+    /// `Ok(None)` means paused, and calling again resumes. Pausing changes
+    /// nothing the run computes (the burst may exit at any cycle).
+    pub(crate) fn run_until(&mut self, until: u64) -> Result<Option<Stats>, RunError> {
+        match self.run_inner(until) {
+            Ok(false) => Ok(None),
+            result => {
+                self.refresh_rollup();
+                result.map(|_| Some(self.stats.clone()))
+            }
+        }
+    }
+
+    /// Runs to completion, or until the clock reaches `until`; returns
+    /// whether the run completed.
+    fn run_inner(&mut self, until: u64) -> Result<bool, RunError> {
         if self.text.is_empty() {
             return Err(RunError::PcOutOfRange { pc: self.units[0].core.pc() });
         }
         let cores = self.units.len();
+        let stop = self.cfg.max_cycles.min(until);
         while self.halted_count < cores {
             if self.cycle >= self.cfg.max_cycles {
                 return Err(RunError::Timeout { cycles: self.cycle });
             }
+            if self.cycle >= until {
+                return Ok(false);
+            }
             // Block burst: every hart executes through the pre-lowered
             // micro-ops until an exit condition hands control back here.
-            if self.block_eligible() && self.block_burst()? {
+            if self.block_eligible() && self.block_burst(stop)? {
                 continue;
             }
             // Quiescent skip: when every unit is provably silent, jump the
             // clock straight to the next wake event. Clamped to the timeout
             // and deadlock boundaries so both errors are still reported at
-            // exactly the cycle a force-stepped loop would report them.
+            // exactly the cycle a force-stepped loop would report them (and
+            // to the pause).
             if self.skip {
                 if let Some(wake) = self.quiescent_wake() {
                     let deadline = self.last_progress_cycle + DEADLOCK_WINDOW + 1;
-                    let target = wake.min(self.cfg.max_cycles).min(deadline);
+                    let target = wake.min(stop).min(deadline);
                     if target > self.cycle {
                         self.skipped_cycles += target - self.cycle;
                         self.cycle = target;
@@ -764,7 +789,7 @@ impl Cluster {
                 return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The block-burst entry gate: block compilation on and no recording
@@ -789,13 +814,12 @@ impl Cluster {
     /// resume cycle.
     ///
     /// Exits back to the generic loop when every hart has halted, on a
-    /// fault, at the timeout boundary, or after [`BLOCK_STUCK_EXIT`]
-    /// progress-free cycles. Returns whether any cycles elapsed (`false`
-    /// means the caller must fall through to the generic loop to guarantee
-    /// forward progress).
-    fn block_burst(&mut self) -> Result<bool, RunError> {
+    /// fault, at cycle `stop` (the timeout or the pause boundary), or after
+    /// [`BLOCK_STUCK_EXIT`] progress-free cycles. Returns whether any
+    /// cycles elapsed (`false` means the caller must fall through to the
+    /// generic loop to guarantee forward progress).
+    fn block_burst(&mut self, stop: u64) -> Result<bool, RunError> {
         let start = self.cycle;
-        let max_cycles = self.cfg.max_cycles;
         let mut now = start;
         let mut last_progress = self.last_progress_cycle;
         let mut halted_count = self.halted_count;
@@ -816,7 +840,7 @@ impl Cluster {
         } = self;
         let cores = units.len();
         'cycles: while halted_count < cores {
-            if now >= max_cycles || now - last_progress > BLOCK_STUCK_EXIT {
+            if now >= stop || now - last_progress > BLOCK_STUCK_EXIT {
                 break;
             }
             arb.begin_cycle();
@@ -872,7 +896,7 @@ impl Cluster {
                 // jump there, clamped so the stuck-exit and timeout
                 // boundaries fire at exactly the cycles the checks above
                 // would see. (A silent cycle makes no progress.)
-                now = wake.min(max_cycles).min(last_progress + BLOCK_STUCK_EXIT + 1);
+                now = wake.min(stop).min(last_progress + BLOCK_STUCK_EXIT + 1);
             } else {
                 now += 1;
                 if progressed {

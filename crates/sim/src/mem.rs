@@ -5,7 +5,7 @@
 //! Units request a bank through [`TcdmArbiter`] each cycle; a denied request
 //! is retried the next cycle by the requesting unit.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use snitch_asm::layout;
 
@@ -236,8 +236,8 @@ impl Region {
 }
 
 /// One bit per byte of a region: which bytes the owning cluster's units
-/// stored since the last run began. Backed as far as the highest stored
-/// byte, like a [`Region`].
+/// read or stored since the last run began. Backed as far as the highest
+/// marked byte, like a [`Region`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ByteMask {
     words: Vec<u64>,
@@ -266,39 +266,50 @@ impl ByteMask {
         self.words.get(w).copied().unwrap_or(0)
     }
 
-    /// The first maximal run of bytes inside `lo..hi` that are marked here
-    /// but not in `minus`, as `(start, end)`.
-    fn first_run(&self, lo: usize, hi: usize, minus: &ByteMask) -> Option<(usize, usize)> {
-        let hi = hi.min(self.words.len() * 64);
-        let live = |w: usize| self.word(w) & !minus.word(w) & word_bits(w, lo, hi);
-        let mut w = lo / 64;
-        let start = loop {
-            if w * 64 >= hi {
-                return None;
-            }
-            match live(w) {
-                0 => w += 1,
-                bits => break w * 64 + bits.trailing_zeros() as usize,
-            }
-        };
-        let mut w = start / 64;
-        let mut gaps = !live(w) & (u64::MAX << (start % 64));
-        while gaps == 0 {
-            w += 1;
-            gaps = !live(w);
-        }
-        Some((start, w * 64 + gaps.trailing_zeros() as usize))
+    /// One past the last byte the backing covers.
+    fn end(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// The first maximal run of bytes marked both here and in `other` but
+    /// not in `minus`, as `(start, end)`.
+    fn first_common_run(&self, other: &ByteMask, minus: &ByteMask) -> Option<(usize, usize)> {
+        let end = self.end().min(other.end());
+        first_run(0, end, |w| self.word(w) & other.word(w) & !minus.word(w))
     }
 
     /// Every maximal run of marked bytes, in address order.
     fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let mut at = 0;
         std::iter::from_fn(move || {
-            let run = self.first_run(at, usize::MAX, &NO_BYTES)?;
+            let run = first_run(at, self.end(), |w| self.word(w))?;
             at = run.1;
             Some(run)
         })
     }
+}
+
+/// The first maximal run of bytes inside `lo..hi` whose bits are set in the
+/// mask words `bits(w)`, as `(start, end)`.
+fn first_run(lo: usize, hi: usize, bits: impl Fn(usize) -> u64) -> Option<(usize, usize)> {
+    let live = |w: usize| bits(w) & word_bits(w, lo, hi);
+    let mut w = lo / 64;
+    let start = loop {
+        if w.saturating_mul(64) >= hi {
+            return None;
+        }
+        match live(w) {
+            0 => w += 1,
+            bits => break w * 64 + bits.trailing_zeros() as usize,
+        }
+    };
+    let mut w = start / 64;
+    let mut gaps = !live(w) & (u64::MAX << (start % 64));
+    while gaps == 0 {
+        w += 1;
+        gaps = !live(w);
+    }
+    Some((start, w * 64 + gaps.trailing_zeros() as usize))
 }
 
 /// The bits of mask word `w` that fall inside byte range `lo..hi`.
@@ -338,10 +349,9 @@ pub struct Memory {
     clusters: usize,
     /// Which cluster this memory belongs to.
     self_cluster: usize,
-    /// L2 byte range read by this cluster's units (core, FP subsystem,
-    /// streamers, DMA) since the run began. A cell, because reads take
-    /// `&self`.
-    l2_reads: Cell<(usize, usize)>,
+    /// The L2 bytes this cluster's units (core, FP subsystem, streamers,
+    /// DMA) read since the run began. A cell, because reads take `&self`.
+    l2_reads: RefCell<ByteMask>,
     /// The L2 bytes this cluster's units stored since the run began.
     l2_stored: ByteMask,
     /// Whether this cluster's units read or wrote a remote alias window
@@ -382,7 +392,7 @@ impl Memory {
             regions: std::array::from_fn(|_| Region::default()),
             clusters: 0,
             self_cluster: 0,
-            l2_reads: Cell::new(CLEAN),
+            l2_reads: RefCell::default(),
             l2_stored: ByteMask::default(),
             peer_access: Cell::new(false),
         }
@@ -427,7 +437,7 @@ impl Memory {
     /// Starts a run's access tracking: forgets the L2 reads, the L2 stored
     /// bytes and any remote-window access seen so far.
     pub(crate) fn begin_run(&mut self) {
-        self.l2_reads.set(CLEAN);
+        self.l2_reads.get_mut().clear();
         self.l2_stored.clear();
         self.peer_access.set(false);
     }
@@ -437,9 +447,7 @@ impl Memory {
     #[inline]
     fn note_read(&self, region: usize, off: usize, len: u32) {
         if region == L2 {
-            let mut reads = self.l2_reads.get();
-            widen(&mut reads, off, off + len as usize);
-            self.l2_reads.set(reads);
+            self.l2_reads.borrow_mut().set(off, off + len as usize);
         } else {
             self.peer_access.set(true);
         }
@@ -514,13 +522,19 @@ impl Memory {
         self.l2_stored.runs().map(move |(lo, hi)| (lo, &l2[lo..hi]))
     }
 
+    /// The L2 bytes this cluster's units stored since the run began, one
+    /// bit per byte.
+    pub(crate) fn l2_stored_mask(&self) -> &ByteMask {
+        &self.l2_stored
+    }
+
     /// The first run of L2 bytes, as `(start, end)` offsets, that this
-    /// cluster's units read since the run began and `writer`'s units
-    /// stored, leaving out the bytes this cluster stored too if
-    /// `except_own`.
-    pub(crate) fn l2_read_of(&self, writer: &Memory, except_own: bool) -> Option<(usize, usize)> {
-        let (lo, hi) = self.l2_reads.get();
-        writer.l2_stored.first_run(lo, hi, if except_own { &self.l2_stored } else { &NO_BYTES })
+    /// cluster's units read since the run began and that are marked in
+    /// `stored` (another cluster's [`l2_stored_mask`](Self::l2_stored_mask)),
+    /// leaving out the bytes this cluster stored too if `except_own`.
+    pub(crate) fn l2_read_of(&self, stored: &ByteMask, except_own: bool) -> Option<(usize, usize)> {
+        let minus = if except_own { &self.l2_stored } else { &NO_BYTES };
+        self.l2_reads.borrow().first_common_run(stored, minus)
     }
 
     /// Whether this cluster's units read or wrote a remote alias window
@@ -786,31 +800,41 @@ mod tests {
         m.set(70, 72);
         m.set(200, 201);
         assert_eq!(m.runs().collect::<Vec<_>>(), [(60, 68), (70, 72), (200, 201)]);
-        assert_eq!(m.first_run(0, 1000, &NO_BYTES), Some((60, 68)));
-        assert_eq!(m.first_run(64, 66, &NO_BYTES), Some((64, 66)), "clipped to the range");
-        assert_eq!(m.first_run(68, 70, &NO_BYTES), None);
-        assert_eq!(m.first_run(usize::MAX, 0, &NO_BYTES), None, "an empty range");
+        let bits = |w| m.word(w);
+        assert_eq!(first_run(0, 1000, bits), Some((60, 68)));
+        assert_eq!(first_run(64, 66, bits), Some((64, 66)), "clipped to the range");
+        assert_eq!(first_run(68, 70, bits), None);
+        assert_eq!(first_run(usize::MAX, 0, bits), None, "an empty range");
+        let mut other = ByteMask::default();
+        other.set(0, 300);
         let mut minus = ByteMask::default();
         minus.set(60, 66);
-        assert_eq!(m.first_run(0, 1000, &minus), Some((66, 68)));
+        assert_eq!(m.first_common_run(&other, &minus), Some((66, 68)));
+        // Stored bytes in a gap between read bytes are not read.
+        let mut gap = ByteMask::default();
+        gap.set(68, 70);
+        gap.set(72, 200);
+        assert_eq!(m.first_common_run(&gap, &NO_BYTES), None);
+        gap.set(199, 201);
+        assert_eq!(m.first_common_run(&gap, &NO_BYTES), Some((200, 201)));
         m.clear();
         assert_eq!(m.runs().count(), 0);
     }
 
     #[test]
-    fn l2_read_watermark_covers_core_loads_and_dma_beats() {
+    fn l2_read_mask_covers_core_loads_and_dma_beats() {
         use crate::cluster::Cluster;
         use crate::config::ClusterConfig;
         use snitch_asm::builder::ProgramBuilder;
         use snitch_riscv::reg::IntReg;
 
-        // One word loaded by the core, 64 bytes copied by the DMA engine.
+        // Half a word loaded by the core, 64 bytes copied by the DMA engine.
         let mut b = ProgramBuilder::new();
         let word = b.l2_f64("word", &[1.0]);
         let block = b.l2_f64("block", &[2.0; 8]);
         let dst = b.tcdm_reserve("dst", 64, 8);
         b.li_u(IntReg::A0, word);
-        b.lw(IntReg::A1, IntReg::A0, 4);
+        b.lw(IntReg::A1, IntReg::A0, 0);
         b.li_u(IntReg::A0, block);
         b.dmsrc(IntReg::A0);
         b.li_u(IntReg::A0, dst);
@@ -826,8 +850,9 @@ mod tests {
         c.load_program(&p);
         c.run().unwrap();
         let off = |addr: u32| (addr - layout::L2_BASE) as usize;
-        let (lo, hi) = c.mem().l2_reads.get();
-        assert_eq!((lo, hi), (off(word) + 4, off(block) + 64), "the load and every beat");
+        let reads = c.mem().l2_reads.borrow().runs().collect::<Vec<_>>();
+        let (word, block) = (off(word), off(block));
+        assert_eq!(reads, [(word, word + 4), (block, block + 64)], "the load and every beat");
         assert!(!c.mem().peer_access());
         assert_eq!(c.mem().l2_stored().count(), 0, "reads store nothing");
     }

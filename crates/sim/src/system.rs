@@ -5,7 +5,7 @@
 //! Results are those of running the clusters **sequentially to completion
 //! in cluster-id order**; the system's elapsed cycles are the maximum over
 //! clusters (they would run concurrently in hardware). The canonical L2
-//! contents live here; each cluster's [`Memory`](crate::mem::Memory) holds
+//! contents live here; each cluster's [`Memory`] holds
 //! a local L2 copy that is synced in before the cluster runs and whose
 //! stored bytes are merged back out afterwards. Remote-TCDM alias windows
 //! work the same way, against per-cluster snapshot buffers.
@@ -27,24 +27,40 @@
 //! # Concurrent execution
 //!
 //! Straight after [`load_program`](System::load_program), [`run`](System::run)
-//! executes the clusters concurrently on at most `available_parallelism()`
-//! scoped threads, every cluster syncing in the pre-run L2 and TCDM images.
-//! Each cluster's memory records the L2 byte range its units read and, one
-//! bit per byte, the L2 bytes they stored. When no cluster touched a remote
-//! window and no cluster read an L2 byte that an earlier cluster stored,
-//! every cluster saw exactly what cluster-id order would have shown it, and
-//! the stored bytes merge in that order. Otherwise cluster 0's run stands
-//! (its inputs are the same in both orders), and clusters `1..` are rewound
-//! to their loaded state — reset and reloaded from the program copy the
-//! system keeps, with their settings and instrumentation — and re-run in
-//! order. Either way the result is that of cluster-id order, deterministic
-//! by construction.
+//! executes the clusters concurrently, every cluster syncing in the pre-run
+//! L2 and TCDM images. Each cluster's memory records, one bit per byte, the
+//! L2 bytes its units read and those they stored. When no cluster touched a
+//! remote window and no cluster read an L2 byte that an earlier cluster
+//! stored, every cluster saw exactly what cluster-id order would have shown
+//! it, and the stored bytes merge in that order. Otherwise cluster 0's run
+//! stands (its inputs are the same in both orders), and clusters `1..` are
+//! rewound to their loaded state — reset and reloaded from the program copy
+//! the system keeps, with their settings and instrumentation — and re-run
+//! in order. Either way the result is that of cluster-id order,
+//! deterministic by construction.
+//!
+//! The clusters run in slices of 65,536 cycles. Between slices a later
+//! cluster gives up once the attempt is lost for it: it touched a remote
+//! window, or it read bytes that an earlier cluster stored and published
+//! when it completed, or another later cluster gave up or failed. So a
+//! cluster that waits on a flag an earlier cluster sets costs about a slice
+//! after that cluster completes, not a run to the watchdog.
+//!
+//! The clusters share the calling thread plus one spawned thread per
+//! hardware thread nobody else occupies: a caller counts itself, and a pool
+//! of simulation workers (the engine's) counts its threads through
+//! [`occupy_host_thread`]. A system inside a fully busy pool runs all its
+//! clusters on its own thread, one after another, so nested threading
+//! never exceeds the host's parallelism. The thread count changes only the
+//! host time, never the result.
 //!
 //! A `clusters == 1` system delegates directly to [`Cluster::run`] with no
 //! sync steps at all, so single-cluster runs are bit-identical — stats,
 //! registers, memory and trace — to driving a [`Cluster`] by hand.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::{panic, thread};
 
@@ -56,29 +72,161 @@ use snitch_trace::{TraceEvent, Tracer};
 use crate::cluster::Cluster;
 use crate::config::SystemConfig;
 use crate::error::RunError;
-use crate::mem::{self, MemFault, Region};
+use crate::mem::{self, ByteMask, MemFault, Memory, Region};
 use crate::stats::Stats;
 
-/// Applies `f` to every item on at most `available_parallelism()` threads,
+/// Cycles a cluster of a concurrent run simulates between checks that its
+/// result can still be kept.
+const SLICE: u64 = 1 << 16;
+
+/// Host threads of this process busy simulating: the threads counted by
+/// [`occupy_host_thread`] plus those multi-cluster runs spawned. A count
+/// that publishes no other data.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether the current thread is counted in [`BUSY`].
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The guard [`occupy_host_thread`] returns.
+#[derive(Debug)]
+#[must_use = "the thread counts as busy only while the guard lives"]
+pub struct HostThread {
+    counted: bool,
+}
+
+impl Drop for HostThread {
+    fn drop(&mut self) {
+        if self.counted {
+            BUSY.fetch_sub(1, Ordering::Relaxed);
+            COUNTED.set(false);
+        }
+    }
+}
+
+/// Counts the calling thread as busy simulating until the guard drops. A
+/// multi-cluster [`System::run`] spawns threads only for the hardware
+/// threads no counted thread occupies (it counts its caller itself), so a
+/// pool of simulation workers that counts its threads never oversubscribes
+/// the host. On a thread that is counted already, the guard counts nothing.
+pub fn occupy_host_thread() -> HostThread {
+    let counted = !COUNTED.replace(true);
+    if counted {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+    }
+    HostThread { counted }
+}
+
+/// Hardware threads taken by a multi-cluster run for the threads it
+/// spawned, handed back on drop.
+struct Spare(usize);
+
+impl Spare {
+    /// Takes up to `want` hardware threads that no busy thread occupies.
+    fn take(want: usize) -> Spare {
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        let hardware =
+            *HARDWARE.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        let busy = BUSY
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                Some(busy + grant(want, hardware, busy))
+            })
+            .expect("the update always applies");
+        Spare(grant(want, hardware, busy))
+    }
+}
+
+/// How many of `want` threads fit beside `busy` on `hardware` threads.
+fn grant(want: usize, hardware: usize, busy: usize) -> usize {
+    want.min(hardware.saturating_sub(busy))
+}
+
+impl Drop for Spare {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Applies `f(index, item)` to every item, on the calling thread plus one
+/// spawned thread per idle hardware thread (see [`occupy_host_thread`]),
 /// each taking a contiguous chunk of items (the calling thread takes the
 /// first). Results come back in item order; a panic on another thread
 /// resumes on the caller with its original payload.
-fn on_threads<T: Send, R: Send>(items: &mut [T], f: fn(&mut T) -> R) -> Vec<R> {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    let threads =
-        *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    let run_all = move |chunk: &mut [T]| chunk.iter_mut().map(f).collect::<Vec<_>>();
+fn on_threads<T: Send, R: Send>(items: &mut [T], f: impl Fn(usize, &mut T) -> R + Sync) -> Vec<R> {
+    let _caller = occupy_host_thread();
+    let spare = Spare::take(items.len().saturating_sub(1));
+    let chunk = items.len().div_ceil(spare.0 + 1);
+    let run_all = |first: usize, chunk: &mut [T]| {
+        chunk.iter_mut().enumerate().map(|(i, item)| f(first + i, item)).collect::<Vec<_>>()
+    };
     thread::scope(|s| {
         let mut chunks = items.chunks_mut(chunk);
         let own = chunks.next().expect("at least one item");
-        let others: Vec<_> = chunks.map(|c| s.spawn(move || run_all(c))).collect();
-        let mut results = run_all(own);
+        let others: Vec<_> =
+            chunks.enumerate().map(|(i, c)| s.spawn(move || run_all((i + 1) * chunk, c))).collect();
+        let mut results = run_all(0, own);
         for handle in others {
             results.extend(handle.join().unwrap_or_else(|panic| panic::resume_unwind(panic)));
         }
         results
     })
+}
+
+/// What the clusters of a concurrent run share: whether the attempt is
+/// already lost for clusters `1..`, and the L2 bytes each cluster that
+/// completed stored.
+struct Attempt {
+    /// A flag that publishes no other data (the stored masks go through
+    /// their `OnceLock`s), so its accesses are relaxed.
+    lost: AtomicBool,
+    stored: Vec<OnceLock<ByteMask>>,
+}
+
+impl Attempt {
+    fn new(clusters: usize) -> Self {
+        Attempt {
+            lost: AtomicBool::new(false),
+            stored: (0..clusters).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Runs cluster `k` in slices of [`SLICE`] cycles. A cluster `k > 0`
+    /// stops early (`None`) once the attempt is lost for it, so a cluster
+    /// that waits for data an earlier one stores costs at most a slice
+    /// after that one completes. Cluster 0 always runs to the end.
+    fn run(&self, k: usize, cluster: &mut Cluster) -> Option<Result<(), RunError>> {
+        let mut until = cluster.cycle();
+        let result = loop {
+            if k > 0 && self.is_lost(k, cluster.mem()) {
+                self.lost.store(true, Ordering::Relaxed);
+                return None;
+            }
+            until += SLICE;
+            match cluster.run_until(until) {
+                Ok(None) => {}
+                Ok(Some(_)) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        match result {
+            Ok(()) => drop(self.stored[k].set(cluster.mem().l2_stored_mask().clone())),
+            Err(_) => self.lost.store(true, Ordering::Relaxed),
+        }
+        Some(result)
+    }
+
+    /// Whether cluster `k`'s concurrent result can no longer be kept: the
+    /// attempt is lost, or `k` touched a remote window, or it read L2
+    /// bytes that a completed earlier cluster stored.
+    fn is_lost(&self, k: usize, mem: &Memory) -> bool {
+        self.lost.load(Ordering::Relaxed)
+            || mem.peer_access()
+            || self.stored[..k]
+                .iter()
+                .filter_map(OnceLock::get)
+                .any(|s| mem.l2_read_of(s, false).is_some())
+    }
 }
 
 /// A system of one or more Snitch clusters sharing an L2 region.
@@ -99,6 +247,9 @@ pub struct System {
     pub(crate) program: Option<Program>,
     /// Whether the last run re-ran clusters `1..` in cluster-id order.
     pub(crate) reran: bool,
+    /// Cycles clusters `1..` simulated in the concurrent attempt the last
+    /// run discarded.
+    pub(crate) discarded_cycles: u64,
 }
 
 impl System {
@@ -129,6 +280,7 @@ impl System {
             stats: Stats::default(),
             program: None,
             reran: false,
+            discarded_cycles: 0,
         }
     }
 
@@ -177,6 +329,7 @@ impl System {
         self.stats = Stats::default();
         self.program = None;
         self.reran = false;
+        self.discarded_cycles = 0;
     }
 
     /// Runs every cluster to completion with the results of cluster-id
@@ -199,7 +352,7 @@ impl System {
             self.stats = stats.clone();
             return Ok(stats);
         }
-        self.reran = false;
+        (self.reran, self.discarded_cycles) = (false, 0);
         for c in &mut self.clusters {
             c.mem_mut().begin_run();
         }
@@ -240,18 +393,20 @@ impl System {
         }
         let trace_lens: Vec<usize> =
             self.clusters.iter().map(|c| c.trace_events().map_or(0, <[_]>::len)).collect();
-        let results = on_threads(&mut self.clusters, Cluster::run);
-        if results.iter().all(Result::is_ok) && self.order_free() {
+        let attempt = Attempt::new(self.clusters.len());
+        let mut results = on_threads(&mut self.clusters, |k, c| attempt.run(k, c));
+        if !attempt.lost.into_inner() && self.order_free() {
             for k in 0..self.clusters.len() {
                 self.merge_out(k);
             }
             return Ok(());
         }
         self.reran = true;
+        self.discarded_cycles = self.clusters[1..].iter().map(Cluster::cycle).sum();
         for (c, &len) in self.clusters.iter_mut().zip(&trace_lens).skip(1) {
             c.rewind(program, len);
         }
-        results.into_iter().next().expect("a system has clusters")?;
+        results.swap_remove(0).expect("cluster 0 runs to the end")?;
         self.merge_out(0);
         self.run_in_order(1)
     }
@@ -263,7 +418,9 @@ impl System {
         self.clusters.iter().enumerate().all(|(k, reader)| {
             let mem = reader.mem();
             !mem.peer_access()
-                && self.clusters[..k].iter().all(|w| mem.l2_read_of(w.mem(), false).is_none())
+                && self.clusters[..k]
+                    .iter()
+                    .all(|w| mem.l2_read_of(w.mem().l2_stored_mask(), false).is_none())
         })
     }
 
@@ -274,7 +431,7 @@ impl System {
     fn refuse_backward_dataflow(&self) -> Result<(), RunError> {
         for (reader, r) in self.clusters.iter().enumerate() {
             for (writer, w) in self.clusters.iter().enumerate().skip(reader + 1) {
-                if let Some((lo, hi)) = r.mem().l2_read_of(w.mem(), true) {
+                if let Some((lo, hi)) = r.mem().l2_read_of(w.mem().l2_stored_mask(), true) {
                     let range = layout::L2_BASE + lo as u32..layout::L2_BASE + hi as u32;
                     return Err(RunError::OrderDependent { reader, writer, range });
                 }
@@ -647,14 +804,112 @@ mod tests {
     }
 
     #[test]
+    fn stored_bytes_between_read_bytes_are_not_order_dependent() {
+        // L2 holds [in0, out, in1]: cluster 0 reads both inputs, cluster 1
+        // stores into `out`, which lies inside the span of cluster 0's
+        // reads but is never read.
+        let mut b = ProgramBuilder::new();
+        let in0 = b.l2_f64("in0", &[1.0]);
+        let out = b.l2_reserve("out", 8, 8);
+        let in1 = b.l2_f64("in1", &[2.0]);
+        assert!(in0 < out && out < in1, "layout in0, out, in1");
+        let sum = b.tcdm_reserve("sum", 8, 8);
+        b.csrr_cluster_id(IntReg::A0);
+        b.bnez(IntReg::A0, "writer");
+        b.li_u(IntReg::A1, in0);
+        b.lw(IntReg::A2, IntReg::A1, 4);
+        b.li_u(IntReg::A1, in1);
+        b.lw(IntReg::A3, IntReg::A1, 4);
+        b.add(IntReg::A2, IntReg::A2, IntReg::A3);
+        b.li_u(IntReg::A1, sum);
+        b.sw(IntReg::A2, IntReg::A1, 0);
+        b.ecall();
+        b.label("writer");
+        b.li(IntReg::A2, 5);
+        b.li_u(IntReg::A1, out);
+        b.sw(IntReg::A2, IntReg::A1, 0);
+        b.ecall();
+        let p = b.build().unwrap();
+
+        let mut sys = System::new(SystemConfig::with_clusters(2));
+        sys.load_program(&p);
+        let concurrent = sys.run().unwrap();
+        assert!(!sys.reran, "no cluster read what another stored");
+        assert_eq!(sys.read_mem(out, 4), Ok(5));
+        let high = |x: f64| x.to_bits() >> 32;
+        assert_eq!(sys.cluster(0).mem().read(sum, 4), Ok(high(1.0) + high(2.0)));
+        sys.reset();
+        sys.load_program(&p);
+        assert_eq!(run_in_cluster_order(&mut sys), Ok(concurrent));
+    }
+
+    #[test]
+    fn a_later_cluster_waiting_on_an_earlier_one_stops_early() {
+        // Cluster 1 spins until cluster 0 sets an L2 flag. In the
+        // concurrent attempt it never sees the flag; it must give up soon
+        // after cluster 0 completes instead of spinning to the watchdog.
+        let mut b = ProgramBuilder::new();
+        let flag = b.l2_reserve("flag", 8, 8);
+        b.csrr_cluster_id(IntReg::A0);
+        b.li_u(IntReg::A1, flag);
+        b.bnez(IntReg::A0, "wait");
+        b.li(IntReg::A2, 1);
+        b.sw(IntReg::A2, IntReg::A1, 0);
+        b.ecall();
+        b.label("wait");
+        b.lw(IntReg::A2, IntReg::A1, 0);
+        b.beqz(IntReg::A2, "wait");
+        b.ecall();
+        let p = b.build().unwrap();
+
+        let mut sys = System::new(SystemConfig::with_clusters(2));
+        let watchdog = sys.config().cluster.max_cycles;
+        sys.load_program(&p);
+        let concurrent = sys.run().unwrap();
+        assert!(sys.reran, "cluster 1 read the flag cluster 0 stored");
+        // Cluster 0 runs a few dozen cycles, so cluster 1 stops a slice or
+        // two after it starts, unless the host starves cluster 0's thread.
+        assert!(
+            sys.discarded_cycles < watchdog / 10,
+            "cluster 1 spun {} cycles before the re-run",
+            sys.discarded_cycles
+        );
+        assert!(sys.cluster_stats(1).cycles < SLICE, "the re-run sees the flag set");
+        sys.reset();
+        sys.load_program(&p);
+        assert_eq!(run_in_cluster_order(&mut sys), Ok(concurrent));
+    }
+
+    #[test]
+    fn a_run_takes_only_idle_hardware_threads() {
+        assert_eq!(grant(3, 8, 1), 3, "a caller alone on a wide host");
+        assert_eq!(grant(3, 2, 1), 1, "one worker on two hardware threads");
+        assert_eq!(grant(3, 2, 2), 0, "every hardware thread runs a worker");
+        assert_eq!(grant(3, 2, 5), 0, "more busy threads than hardware");
+    }
+
+    #[test]
+    fn occupying_a_counted_thread_counts_nothing() {
+        let outer = occupy_host_thread();
+        let inner = occupy_host_thread();
+        assert!(outer.counted && !inner.counted, "a nested claim counts nothing");
+        drop(inner);
+        assert!(COUNTED.get(), "dropping the nested claim keeps the count");
+        drop(outer);
+        assert!(!COUNTED.get());
+    }
+
+    #[test]
     fn a_panic_in_any_chunk_keeps_its_message() {
         let mut items = [0, 1, 2, 3];
         let outcome = std::panic::catch_unwind(move || {
-            on_threads(&mut items, |x| assert!(*x != 3, "item {x} failed"))
+            on_threads(&mut items, |_, x| assert!(*x != 3, "item {x} failed"))
         });
         let payload = outcome.expect_err("item 3 panics");
         let message = payload.downcast_ref::<String>().expect("a formatted message");
         assert_eq!(message, "item 3 failed");
-        assert_eq!(on_threads(&mut [1, 2, 3], |x| *x * 2), [2, 4, 6], "results in item order");
+        assert!(!COUNTED.get(), "unwinding hands the caller's count back");
+        let doubled = on_threads(&mut [1, 2, 3], |k, x| (k, *x * 2));
+        assert_eq!(doubled, [(0, 2), (1, 4), (2, 6)], "results and indices in item order");
     }
 }
