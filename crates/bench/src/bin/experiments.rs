@@ -263,6 +263,7 @@ fn main() {
     out.push_str(HOST_TIME);
     out.push_str(GUEST_MEMORY);
     out.push_str(CONCURRENT_CLUSTERS);
+    out.push_str(ONE_RUN_LOOP);
 
     // ---- Known deviations ----
     let _ = writeln!(
@@ -421,5 +422,62 @@ images exactly, leaving freed heap chunks between jobs. End to end,
 in 8 of 10 pairs, but less than the 2.27–2.51 s interquartile spread of
 the parent's runs, so unresolved); `fig2` stayed level (0.275 → 0.256
 s, better in 6 of 10).
+
+";
+
+/// The fourth part of "Where the host time goes": per-cycle cost of each
+/// run path before and after traced runs moved onto the block burst. A
+/// committed measurement, copied through unchanged like [`HOST_TIME`].
+const ONE_RUN_LOOP: &str = "\
+### One run loop: traced runs on the block burst
+
+The same host, before and after the block burst became the only run
+loop (DESIGN.md §15): traced runs used to take the per-cycle reference
+stepper, and the quiescent skip is gone. The 24 `fig2` jobs run through
+`System::run` in one process on one thread (program build and load
+excluded); each run is the best of 5 repetitions, and the table gives
+the median with the quartiles in brackets over 10 interleaved rounds.
+The end-to-end rows time `Engine::new(1).run` on the same batch, plain
+and `.traced()`. All runs simulate 4,418,840 cycles; the traced ones
+record 7,750,895 events on both sides.
+
+| path | before | after | after better in |
+|---|---:|---:|---:|
+| burst (untraced), ns per cycle | 46.4 [45.0–51.2] | 50.3 [43.9–53.8] | 2 of 10 |
+| reference stepper, ns per cycle (before: with the skip) | 67.3 [63.5–74.6] | 66.8 [60.3–75.9] | 6 of 10 |
+| traced: stepper before, burst after, ns per cycle | 83.7 [77.5–88.2] | 63.7 [57.4–69.1] | 10 of 10 |
+| traced ÷ untraced, per round | 1.72 [1.59–1.84] | 1.28 [1.22–1.37] | |
+| `Engine::new(1)`, untraced `fig2` | 0.203 s [0.194–0.223] | 0.214 s [0.194–0.239] | 4 of 10 |
+| `Engine::new(1)`, traced `fig2` | 0.403 s [0.389–0.476] | 0.368 s [0.324–0.387] | 8 of 10 |
+| traced ÷ untraced, end to end | 2.01 [1.95–2.11] | 1.69 [1.56–1.92] | |
+
+A traced run now costs 1.28× an untraced one per simulated cycle in
+`System::run`, inside the ROADMAP's 1.5× target. End to end through the
+engine it costs 1.69×, above the target, which stays open there: the
+engine copies each traced job's events into its run record. The
+reference stepper, now compiled only for the differential suites, runs
+as fast without the skip as it did with it.
+
+The untraced burst did not get faster, and may have got slightly
+slower. Two 15-round reruns of the `fig2` comparison put its median
+1.5–3% above the parent's (43.6 → 45.0 and 43.5 → 44.2 ns). On the two
+one-core, one-cluster `scaling-grid` jobs, the best run of each of
+seven 15–20-round comparisons was 34.6–37.6 ns per cycle before and
+38.6–41.5 after, about 10%; the 8-core jobs were level (388 → 391 ns per
+cluster-cycle). The gap is not the work the loop does: builds of this
+change without the event hooks, or with the parent's loop body, measured
+the same as the change, and the parent's tree with only this change's
+`cluster.rs` measured within 5% of the parent. What remains follows
+code layout: with branch-alignment padding on both sides (`-C
+llvm-args=-x86-branches-within-32B-boundaries`) the best-run gap on
+those jobs was 1% and 7% in two comparisons. It is not resolved. The
+benchmark (`perfbench`, interleaved pairs) stayed inside its 25%
+bounds, but `scaling-grid`, where the one-core jobs carry much of the
+work, shows the gap: at the benchmark's 50 s, 3 pairs each, `fig2`
+`wall_s` 0.190 → 0.196 s and `scaling-grid` 1.020 → 1.138 s
+(`sim_mcycles_per_s` 18.3 → 16.4); at 8 s, 6 pairs each, `fig2` 0.192
+→ 0.200 s and `scaling-grid` 1.067 → 1.119 s. Fingerprints,
+`sim.cluster_cycles`, every `model.*` counter, the paper MAPEs and
+`job_ok_ratio` are identical.
 
 ";

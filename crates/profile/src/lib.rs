@@ -10,9 +10,8 @@
 //! * [`profiler`] — the [`Profiler`] collector the simulator charges into.
 //!   The hook follows the `Tracer` discipline: one `Option` branch when no
 //!   profiler is attached, a recording check when one is paused, and plain
-//!   array adds when live — cheap enough that the simulator's block-burst
-//!   fast path stays engaged while profiling (bursts charge per-op counts
-//!   directly instead of falling back to the reference stepper);
+//!   array adds when live, charged from inside the simulator's block-burst
+//!   run loop like every other booking;
 //! * [`region`] — resolves pcs to `ProgramBuilder` label spans
 //!   ([`Program::labels`]), e.g. the COPIFT codegen's standard
 //!   `prologue`/`spill`/`body`/`reduce` region labels;

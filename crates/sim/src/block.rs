@@ -1,5 +1,5 @@
 //! Block compilation: the whole text section pre-lowered into compact
-//! micro-ops for the burst execution path.
+//! micro-ops for the block burst, the cluster's run loop.
 //!
 //! `Decoded` keeps the full [`Inst`] and re-matches it on every issue
 //! attempt; a [`BlockInst`] instead pre-resolves everything that is static
@@ -8,15 +8,17 @@
 //! burst loop in `cluster.rs` issues with one small match and no decode
 //! work. Ops whose semantics depend on cluster state machines (CSRs
 //! including the barrier and FPU fence, SSR configuration, DMA commands)
-//! compile to [`BlockOp::Generic`] and delegate to the reference stepper
-//! instruction-for-instruction, so they can never drift from it.
+//! compile to [`BlockOp::Generic`] and delegate to the generic issue path
+//! (`IntCore::step`) instruction-for-instruction, so they can never drift
+//! from it.
 //!
 //! The cache is keyed purely by pc: entry `i` corresponds to
 //! `TEXT_BASE + 4*i`, in lockstep with `Cluster::text`. It is rebuilt by
 //! `load_program` and cleared by `reset` (text is immutable between loads,
 //! so there is no other invalidation source). Nothing *dynamic* — sequencer
 //! and SSR state, DMA activity, barrier occupancy — is keyed here: the
-//! burst loop steps those units every cycle exactly as the stepper does.
+//! burst loop steps those units every cycle exactly as the reference
+//! stepper does.
 
 use snitch_asm::layout;
 use snitch_riscv::csr::CSR_FPU_FENCE;
@@ -98,9 +100,9 @@ pub(crate) enum BlockOp {
         writes_int_rf: bool,
     },
     /// The canonical FPU fence (`csrrs x0, fpu_fence, x0`): executes through
-    /// the stepper like [`Generic`](Self::Generic), but while the FP
-    /// subsystem has queued work `IntCore::step_block` recognizes that the
-    /// only possible outcome is one Fence stall and skips the delegated
+    /// the generic issue path like [`Generic`](Self::Generic), but while the
+    /// FP subsystem has queued work `IntCore::step_block` recognizes that
+    /// the only possible outcome is one Fence stall and skips the delegated
     /// call.
     FenceWait,
     /// Delegated to `IntCore::step` (CSR, SSR config, DMA, unknown ops).

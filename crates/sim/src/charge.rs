@@ -2,10 +2,10 @@
 //!
 //! Every issue slot a hart uses and every slot it loses is booked here, once,
 //! into all three ledgers the simulator keeps: the hart's [`Stats`]
-//! counters, the cluster's event [`Tracer`] and its cycle [`Profiler`]. Both
-//! execution paths (the reference stepper and the block-burst path) book
-//! through the same methods with the same arguments, so counters, trace and
-//! profile agree by construction.
+//! counters, the cluster's event [`Tracer`] and its cycle [`Profiler`]. The
+//! block burst (the production run loop) and the reference stepper (its
+//! test oracle) book through the same methods with the same arguments, so
+//! counters, trace and profile agree by construction.
 
 use snitch_profile::Profiler;
 use snitch_riscv::inst::Inst;

@@ -17,14 +17,11 @@ use crate::mem::{Memory, TcdmArbiter, TcdmPort};
 use crate::ssr::Ssr;
 use crate::stats::Stats;
 
+#[cfg(any(test, feature = "testing"))]
+mod reference;
+
 /// Cycles without any unit making progress before a deadlock is declared.
 const DEADLOCK_WINDOW: u64 = 50_000;
-
-/// Consecutive progress-free cycles after which a block burst hands back to
-/// the generic loop. Far below [`DEADLOCK_WINDOW`], so a genuinely stuck
-/// program spends the bulk of its deadlock window — and reports the error —
-/// on the reference path, at exactly the reference cycle.
-const BLOCK_STUCK_EXIT: u64 = 64;
 
 /// The issue counters a hart's work moves: the core slot (integer issues
 /// and FP offloads) and the FPU (every FP issue, core or sequencer). They
@@ -32,6 +29,40 @@ const BLOCK_STUCK_EXIT: u64 = 64;
 /// signal.
 fn issue_work(stats: &Stats) -> u64 {
     stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles
+}
+
+/// Books the cluster-shared events of cycle `now`, after the DMA step: the
+/// DMA engine's TCDM accesses, then the arbiter's newly denied requests.
+fn trace_shared_units(tracer: &mut Tracer, now: u64, dma_accesses: u32, new_conflicts: u64) {
+    if dma_accesses > 0 {
+        tracer.record(now, CLUSTER_HART, EventKind::DmaActive { count: dma_accesses });
+    }
+    if new_conflicts > 0 {
+        tracer.record(now, CLUSTER_HART, EventKind::BankConflicts { count: new_conflicts as u32 });
+    }
+}
+
+/// The hardware barrier: once `waiting` harts have arrived and every other
+/// hart has halted, releases every waiting hart in the same cycle (halted
+/// harts count as arrived, so a partial shutdown can never deadlock the
+/// rest). Returns the new number of waiting harts.
+fn release_barrier(
+    units: &mut [CoreUnit],
+    tracer: &mut Option<Tracer>,
+    now: u64,
+    waiting: usize,
+    halted: usize,
+) -> usize {
+    if waiting == 0 || waiting + halted < units.len() {
+        return waiting;
+    }
+    for unit in units.iter_mut().filter(|u| u.core.barrier_waiting()) {
+        unit.core.release_barrier();
+        if let Some(t) = tracer {
+            t.record(now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
+        }
+    }
+    0
 }
 
 /// Everything private to one compute core (hart): the integer pipeline, its
@@ -71,7 +102,13 @@ impl CoreUnit {
             && self.ssrs.iter().all(Ssr::quiescent)
     }
 
-    /// One burst cycle of this (non-silent) hart, in the stepper's order:
+    /// Whether the FP subsystem has retired all its work and no streamer is
+    /// busy: the post-halt drain's exit test.
+    fn drained(&self, now: u64) -> bool {
+        self.fpss.drained(now) && !self.ssrs.iter().any(Ssr::busy)
+    }
+
+    /// One burst cycle of this (non-silent) hart, in the reference order:
     /// FP→int write-backs, one issue through the block cache, the FP
     /// subsystem and the streamers — each skipped when provably a no-op.
     /// Returns whether the hart made progress (issued, or streamed a beat).
@@ -121,6 +158,9 @@ impl CoreUnit {
             let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8))?;
             charge.stats.tcdm_ssr_accesses += u64::from(accesses);
             progressed |= accesses > 0;
+            if accesses > 0 {
+                charge.event(now, || EventKind::SsrBeat { ssr: i as u8, count: accesses });
+            }
             if ssr.armed() {
                 charge.stats.ssr_active_cycles[i] += 1;
             }
@@ -169,15 +209,14 @@ pub struct Cluster {
     mem: Memory,
     arb: TcdmArbiter,
     /// Cluster-level rollup of all per-hart statistics plus the shared
-    /// counters (refreshed at the end of every public `step`/`run`).
+    /// counters (refreshed at the end of every `run`).
     stats: Stats,
     /// TCDM accesses performed by the shared DMA engine.
     tcdm_dma_accesses: u64,
     cycle: u64,
     /// Last cycle on which any unit did observable work (issued, streamed a
     /// beat, moved a DMA byte) — maintained O(1) per cycle from what each
-    /// unit's step reports, replacing the per-cycle `progress_signature()`
-    /// counter scan of earlier revisions.
+    /// unit's step reports; the deadlock detector counts from it.
     last_progress_cycle: u64,
     /// Harts currently halted (maintained on the `ecall` transition, so the
     /// run loop's exit test is one integer compare instead of an all-units
@@ -186,16 +225,11 @@ pub struct Cluster {
     /// Harts currently stalled at the hardware barrier (maintained on
     /// arrive/release transitions, same reasoning).
     barrier_waiting_count: usize,
-    /// Quiescent-skip fast path enable (on by default; see
-    /// [`set_quiescent_skip`](Self::set_quiescent_skip)).
-    skip: bool,
-    /// Cycles the run loop advanced without stepping any unit (diagnostic;
-    /// not part of [`Stats`] — skipped cycles are ordinary elapsed cycles).
-    skipped_cycles: u64,
-    /// Block-compiled fast path enable (on by default; see
-    /// [`set_block_compile`](Self::set_block_compile)).
-    block: bool,
-    /// Cycles executed inside block bursts (diagnostic; not part of
+    /// Runs the per-cycle reference stepper instead of the block burst (the
+    /// differential suites' oracle; see `set_block_compile`).
+    #[cfg(any(test, feature = "testing"))]
+    stepped: bool,
+    /// Cycles executed inside the block burst (diagnostic; not part of
     /// [`Stats`] — replayed cycles are ordinary elapsed cycles).
     block_replayed_cycles: u64,
     /// The text section pre-lowered into burst micro-ops (rebuilt by
@@ -206,9 +240,8 @@ pub struct Cluster {
     /// every emission site is a single branch and constructs nothing.
     tracer: Option<Tracer>,
     /// Cycle-profile collector, attached when `cfg.profile` is set (or
-    /// explicitly via [`attach_profiler`](Self::attach_profiler)). Unlike a
-    /// recording tracer it keeps the block-burst fast path engaged — charges
-    /// are O(1) array increments, not event records.
+    /// explicitly via [`attach_profiler`](Self::attach_profiler)). Charges
+    /// are O(1) array increments.
     profiler: Option<Profiler>,
 }
 
@@ -244,9 +277,8 @@ impl Cluster {
             last_progress_cycle: 0,
             halted_count: 0,
             barrier_waiting_count: 0,
-            skip: true,
-            skipped_cycles: 0,
-            block: true,
+            #[cfg(any(test, feature = "testing"))]
+            stepped: false,
             block_replayed_cycles: 0,
             blocks: BlockCache::default(),
             tracer,
@@ -288,7 +320,6 @@ impl Cluster {
     /// bit-identical (results *and* [`Stats`]) to one on a fresh
     /// `Cluster::new(cfg)` — the determinism guarantee `snitch-engine`'s
     /// worker pool relies on, pinned by the reset/fresh-equivalence tests.
-    /// The quiescent-skip setting is restored to its default (enabled).
     pub fn reset(&mut self) {
         self.text.clear();
         self.mem.clear();
@@ -309,9 +340,6 @@ impl Cluster {
         self.last_progress_cycle = 0;
         self.halted_count = 0;
         self.barrier_waiting_count = 0;
-        self.skip = true;
-        self.skipped_cycles = 0;
-        self.block = true;
         self.block_replayed_cycles = 0;
         self.blocks.clear();
         self.tracer = self.cfg.trace.then(Tracer::new);
@@ -320,17 +348,15 @@ impl Cluster {
 
     /// Takes the cluster back to the state `load_program(program)` left it
     /// in before a run: [`reset`](Self::reset) and reload, but keeping the
-    /// block-compile and quiescent-skip settings, the attached profiler and
-    /// the attached tracer with its first `trace_len` events (those recorded
-    /// before the run).
+    /// attached profiler and the attached tracer with its first `trace_len`
+    /// events (those recorded before the run).
     pub(crate) fn rewind(&mut self, program: &Program, trace_len: usize) {
-        let (block, skip) = (self.block, self.skip);
         let (mut tracer, profiler) = (self.tracer.take(), self.profiler.take());
         self.reset();
         if let Some(t) = &mut tracer {
             t.truncate(trace_len);
         }
-        (self.block, self.skip, self.tracer, self.profiler) = (block, skip, tracer, profiler);
+        (self.tracer, self.profiler) = (tracer, profiler);
         self.load_program(program);
     }
 
@@ -396,7 +422,8 @@ impl Cluster {
     /// built from a [`ClusterConfig`] with `trace` set already carries a
     /// recording tracer; this entry point exists for instrumentation that
     /// needs explicit control (e.g. attaching a [`Tracer::paused`] collector
-    /// to measure the disabled hook's overhead).
+    /// to measure the disabled hook's overhead). Traced or not, the run
+    /// takes the same block burst.
     ///
     /// Note that [`reset`](Self::reset) restores the config-driven state:
     /// a fresh (empty) tracer when `cfg.trace` is set, none otherwise.
@@ -478,194 +505,20 @@ impl Cluster {
         self.halted_count == self.units.len()
     }
 
-    /// Enables or disables the quiescent-skip fast path (on by default).
-    ///
-    /// With skip enabled, `run` advances the cluster clock directly to the
-    /// next wake event whenever every unit is provably silent (see
-    /// `DESIGN.md` §13); results, [`Stats`] and traces are bit-identical
-    /// either way — the force-stepped mode exists as the reference for the
-    /// equivalence tests. [`reset`](Self::reset) restores the default.
-    pub fn set_quiescent_skip(&mut self, enabled: bool) {
-        self.skip = enabled;
-    }
-
-    /// Cycles the run loop fast-forwarded through provably silent windows
-    /// instead of stepping them (0 with skip disabled). Diagnostic only:
-    /// skipped cycles are ordinary elapsed cycles in every statistic.
+    /// Always 0: the run loop has no quiescent skip any more (the block
+    /// burst's silent jump covers those windows). Kept because
+    /// `perfbench/src/layers.rs` reads it.
     #[must_use]
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
+        0
     }
 
-    /// Enables or disables the block-compiled fast path (on by default).
-    ///
-    /// With block compilation enabled, `run` drives every hart through
-    /// pre-lowered micro-ops in a tight burst loop instead of the generic
-    /// all-units stepper (see `DESIGN.md` §15); results, [`Stats`]
-    /// and error cycles are bit-identical either way — the force-stepped
-    /// mode exists as the reference for the differential suite in
-    /// `tests/block_compile.rs`. [`reset`](Self::reset) restores the
-    /// default.
-    pub fn set_block_compile(&mut self, enabled: bool) {
-        self.block = enabled;
-    }
-
-    /// Cycles executed inside block bursts (0 with block compilation
-    /// disabled). Diagnostic only: replayed cycles are ordinary elapsed
-    /// cycles in every statistic, disjoint from
-    /// [`skipped_cycles`](Self::skipped_cycles).
+    /// Cycles executed inside the block burst: every elapsed cycle, unless
+    /// the reference stepper ran the cluster. Diagnostic only: replayed
+    /// cycles are ordinary elapsed cycles in every statistic.
     #[must_use]
     pub fn block_replayed_cycles(&self) -> u64 {
         self.block_replayed_cycles
-    }
-
-    /// Advances the cluster by one cycle and refreshes the statistics
-    /// rollup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Fault`] on machine faults.
-    pub fn step(&mut self) -> Result<(), RunError> {
-        let result = self.step_units().map(|_| ());
-        self.refresh_rollup();
-        result
-    }
-
-    /// One cycle of work for every unit, without the rollup refresh (the
-    /// hot path; `run` refreshes once at the end). Returns whether any unit
-    /// made observable progress (issued an instruction, streamed a beat,
-    /// moved a DMA byte) — the deadlock detector's progress signal,
-    /// gathered here for free instead of re-scanning every counter.
-    fn step_units(&mut self) -> Result<bool, RunError> {
-        let now = self.cycle;
-        self.arb.begin_cycle();
-        let conflicts_before = self.arb.conflicts();
-        let dma_beats_before = self.dma.beats();
-        let mut progressed = false;
-        let mut halted_count = self.halted_count;
-        let mut barrier_waiting = self.barrier_waiting_count;
-        let mut fault = None;
-
-        // Destructured so the per-unit loop can borrow the shared units and
-        // the tracer alongside `self.units` without aliasing `self`.
-        let Cluster {
-            cfg, text, units, dma, mem, arb, tracer, profiler, tcdm_dma_accesses, ..
-        } = self;
-
-        'units: for unit in units.iter_mut() {
-            let CoreUnit { core, fpss, ssrs, l0, stats } = unit;
-
-            // Parked fast path: a halted hart with an idle FP subsystem and
-            // quiescent streamers has provably nothing to do — every call
-            // below would be a no-op (secondary harts of a non-parallel
-            // program sit here for the whole run).
-            if core.halted() && fpss.idle_now() && ssrs.iter().all(Ssr::quiescent) {
-                continue;
-            }
-
-            let was_halted = core.halted();
-            let was_waiting = core.barrier_waiting();
-            let issued_before = issue_work(stats);
-
-            // FP→int write-backs land before the core issues, so results
-            // are visible the cycle they retire.
-            fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
-
-            let hart = core.hart_id() as u8;
-            let mut charge = Charge::new(hart, stats, tracer, profiler);
-            let core_result = core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, &mut charge);
-            // Halt/barrier transitions happen only inside `core.step`;
-            // commit them even when this or a later unit faults, so
-            // `halted()` can never go stale on an aborted cycle.
-            if !was_halted && core.halted() {
-                halted_count += 1;
-            }
-            if !was_waiting && core.barrier_waiting() {
-                barrier_waiting += 1;
-            }
-            if let Err(e) = core_result {
-                fault = Some(e);
-                break;
-            }
-
-            if let Err(e) = fpss.step(now, cfg, mem, arb, ssrs, &mut charge) {
-                fault = Some(e);
-                break;
-            }
-
-            for (i, ssr) in ssrs.iter_mut().enumerate() {
-                let accesses = match ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8)) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        fault = Some(e.into());
-                        break 'units;
-                    }
-                };
-                charge.stats.tcdm_ssr_accesses += u64::from(accesses);
-                progressed |= accesses > 0;
-                if accesses > 0 {
-                    charge.event(now, || EventKind::SsrBeat { ssr: i as u8, count: accesses });
-                }
-                if ssr.armed() {
-                    charge.stats.ssr_active_cycles[i] += 1;
-                }
-                charge.stats.ssr_beats[i] = ssr.beats();
-            }
-
-            progressed |= issue_work(charge.stats) != issued_before;
-        }
-
-        // A unit fault skips the DMA engine; a faulting DMA beat aborts the
-        // cycle the same way.
-        let dma_step = match fault {
-            None => dma.step(mem, arb).map_err(SimFault::from),
-            Some(e) => Err(e),
-        };
-        let dma_accesses = match dma_step {
-            Ok(n) => n,
-            Err(e) => {
-                // The cycle is aborted (no advance), but the transition
-                // counts observed so far are real and must land.
-                self.halted_count = halted_count;
-                self.barrier_waiting_count = barrier_waiting;
-                return Err(RunError::Fault(e));
-            }
-        };
-        *tcdm_dma_accesses += u64::from(dma_accesses);
-        progressed |= dma.beats() != dma_beats_before;
-        let new_conflicts = arb.conflicts() - conflicts_before;
-        if let Some(t) = tracer {
-            if dma_accesses > 0 {
-                t.record(now, CLUSTER_HART, EventKind::DmaActive { count: dma_accesses });
-            }
-            if new_conflicts > 0 {
-                t.record(
-                    now,
-                    CLUSTER_HART,
-                    EventKind::BankConflicts { count: new_conflicts as u32 },
-                );
-            }
-        }
-
-        // Hardware barrier: release every waiting hart in the same cycle
-        // once each hart has either arrived or halted. Halted harts count
-        // as arrived so a partial shutdown can never deadlock the rest.
-        if barrier_waiting > 0 && barrier_waiting + halted_count == units.len() {
-            for unit in units.iter_mut() {
-                if unit.core.barrier_waiting() {
-                    unit.core.release_barrier();
-                    if let Some(t) = tracer {
-                        t.record(now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
-                    }
-                }
-            }
-            barrier_waiting = 0;
-        }
-
-        self.halted_count = halted_count;
-        self.barrier_waiting_count = barrier_waiting;
-        self.cycle += 1;
-        Ok(progressed)
     }
 
     /// Recomputes the cluster rollup from the per-hart statistics and the
@@ -686,7 +539,8 @@ impl Cluster {
         self.stats = roll;
     }
 
-    /// Runs until every hart executes `ecall`.
+    /// Runs until every hart executes `ecall` and the FP work in flight
+    /// retires.
     ///
     /// # Errors
     ///
@@ -701,7 +555,8 @@ impl Cluster {
 
     /// [`run`](Self::run), pausing once the clock reaches `until`:
     /// `Ok(None)` means paused, and calling again resumes. Pausing changes
-    /// nothing the run computes (the burst may exit at any cycle).
+    /// nothing the run computes: the burst stops at exactly `until` and
+    /// resumes from the state it left, and the post-halt drain never pauses.
     pub(crate) fn run_until(&mut self, until: u64) -> Result<Option<Stats>, RunError> {
         match self.run_inner(until) {
             Ok(false) => Ok(None),
@@ -718,113 +573,52 @@ impl Cluster {
         if self.text.is_empty() {
             return Err(RunError::PcOutOfRange { pc: self.units[0].core.pc() });
         }
-        let cores = self.units.len();
-        let stop = self.cfg.max_cycles.min(until);
-        while self.halted_count < cores {
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(RunError::Timeout { cycles: self.cycle });
-            }
-            if self.cycle >= until {
-                return Ok(false);
-            }
-            // Block burst: every hart executes through the pre-lowered
-            // micro-ops until an exit condition hands control back here.
-            if self.block_eligible() && self.block_burst(stop)? {
-                continue;
-            }
-            // Quiescent skip: when every unit is provably silent, jump the
-            // clock straight to the next wake event. Clamped to the timeout
-            // and deadlock boundaries so both errors are still reported at
-            // exactly the cycle a force-stepped loop would report them (and
-            // to the pause).
-            if self.skip {
-                if let Some(wake) = self.quiescent_wake() {
-                    let deadline = self.last_progress_cycle + DEADLOCK_WINDOW + 1;
-                    let target = wake.min(stop).min(deadline);
-                    if target > self.cycle {
-                        self.skipped_cycles += target - self.cycle;
-                        self.cycle = target;
-                        if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
-                            return Err(RunError::Deadlock {
-                                cycle: self.cycle,
-                                pc: self.stuck_pc(),
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-            if self.step_units()? {
-                self.last_progress_cycle = self.cycle;
-            } else if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
-            }
+        #[cfg(any(test, feature = "testing"))]
+        if self.stepped {
+            return self.run_stepped(until);
         }
-        // Let in-flight FP work retire so post-run register/memory reads are
-        // complete (bounded by the deadlock window).
-        let drain_start = self.cycle;
-        while self
-            .units
-            .iter()
-            .any(|u| !u.fpss.drained(self.cycle) || u.ssrs.iter().any(super::ssr::Ssr::busy))
-        {
-            if self.skip {
-                if let Some(wake) = self.quiescent_wake() {
-                    let target = wake.min(drain_start + DEADLOCK_WINDOW + 1);
-                    if target > self.cycle {
-                        self.skipped_cycles += target - self.cycle;
-                        self.cycle = target;
-                        if self.cycle - drain_start > DEADLOCK_WINDOW {
-                            return Err(RunError::Deadlock {
-                                cycle: self.cycle,
-                                pc: self.stuck_pc(),
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-            self.step_units()?;
-            if self.cycle - drain_start > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
-            }
+        if self.block_burst(self.cfg.max_cycles.min(until))? {
+            Ok(true)
+        } else if self.cycle >= self.cfg.max_cycles {
+            Err(RunError::Timeout { cycles: self.cycle })
+        } else {
+            Ok(false)
         }
-        Ok(true)
     }
 
-    /// The block-burst entry gate: block compilation on and no recording
-    /// tracer attached (the burst books issues and stalls through the same
-    /// charge path, but skips silent harts, idle FP subsystems and quiescent
-    /// streamers and so never emits the stepper's per-cycle SSR and cluster
-    /// events). A paused tracer or a profiler keeps the burst engaged.
-    fn block_eligible(&self) -> bool {
-        self.block && !self.tracer.as_ref().is_some_and(Tracer::is_recording)
-    }
-
-    /// Runs every hart in a burst: the per-cycle loop of
-    /// [`step_units`](Self::step_units) in the same order — arbiter cycle,
-    /// then hart by hart write-back drain, issue, FP subsystem and
-    /// streamers, then the DMA engine, then the barrier release — but
-    /// issuing through the block cache and skipping every call that is
-    /// provably a no-op: harts that are *silent* (halted or inside their
-    /// `stall_until` window, with an idle FP subsystem and quiescent
-    /// streamers), idle FP subsystems, quiescent streamers and an idle DMA
-    /// engine. A cycle on which every hart is silent, the DMA engine idle
-    /// and nobody waits at the barrier jumps straight to the earliest
-    /// resume cycle.
+    /// The run loop. Each cycle follows the reference order — arbiter
+    /// cycle, then hart by hart write-back drain, issue, FP subsystem and
+    /// streamers, then the DMA engine, then the barrier release — and emits
+    /// the same trace events at the same points, but issues through the
+    /// block cache and skips every call that is provably a no-op: harts
+    /// that are *silent* (halted or inside their `stall_until` window, with
+    /// an idle FP subsystem and quiescent streamers), idle FP subsystems,
+    /// quiescent streamers and an idle DMA engine. A cycle on which every
+    /// hart is silent, some hart still runs, the DMA engine is idle and
+    /// nobody waits at the barrier jumps straight to the earliest resume
+    /// cycle, clamped to `stop` and to the deadlock deadline.
     ///
-    /// Exits back to the generic loop when every hart has halted, on a
-    /// fault, at cycle `stop` (the timeout or the pause boundary), or after
-    /// [`BLOCK_STUCK_EXIT`] progress-free cycles. Returns whether any
-    /// cycles elapsed (`false` means the caller must fall through to the
-    /// generic loop to guarantee forward progress).
+    /// Once every hart has halted, the loop keeps stepping cycle by cycle,
+    /// past `stop`, until every FP subsystem has drained and no streamer is
+    /// busy, so post-run register and memory reads are complete.
+    ///
+    /// Returns `Ok(true)` when the run completed and `Ok(false)` at cycle
+    /// `stop` (the timeout or the pause boundary). Reports
+    /// [`RunError::Deadlock`] after [`DEADLOCK_WINDOW`] cycles without
+    /// progress, or of draining.
     fn block_burst(&mut self, stop: u64) -> Result<bool, RunError> {
         let start = self.cycle;
         let mut now = start;
         let mut last_progress = self.last_progress_cycle;
         let mut halted_count = self.halted_count;
         let mut barrier_waiting = self.barrier_waiting_count;
-        let mut fault = None;
+        // The first cycle of the post-halt drain (`u64::MAX` until every
+        // hart has halted).
+        let mut drain_start = u64::MAX;
+        // The arbiter's conflict count the tracer has seen (conflicts only
+        // change inside a cycle, so this is also the count at its start).
+        let mut conflicts_seen = self.arb.conflicts();
+        let (mut fault, mut deadlocked, mut done) = (None, false, false);
         let Cluster {
             cfg,
             text,
@@ -839,8 +633,15 @@ impl Cluster {
             ..
         } = self;
         let cores = units.len();
-        'cycles: while halted_count < cores {
-            if now >= stop || now - last_progress > BLOCK_STUCK_EXIT {
+        'cycles: loop {
+            let draining = halted_count == cores;
+            if draining {
+                if units.iter().all(|u| u.drained(now)) {
+                    done = true;
+                    break;
+                }
+                drain_start = drain_start.min(now);
+            } else if now >= stop {
                 break;
             }
             arb.begin_cycle();
@@ -860,7 +661,8 @@ impl Cluster {
                 let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
                 let r = unit.burst_cycle(now, cfg, text, blocks, mem, arb, dma, tracer, profiler);
                 // Halt/barrier transitions commit even when the cycle
-                // faults, as in the stepper.
+                // faults, so `halted()` can never go stale on an aborted
+                // cycle.
                 halted_count += usize::from(!was_halted && unit.core.halted());
                 barrier_waiting += usize::from(!was_waiting && unit.core.barrier_waiting());
                 match r {
@@ -871,37 +673,42 @@ impl Cluster {
                     }
                 }
             }
+            let mut dma_accesses = 0;
             if !dma.idle() {
                 all_silent = false;
                 let dma_beats_before = dma.beats();
                 match dma.step(mem, arb) {
-                    Ok(n) => *tcdm_dma_accesses += u64::from(n),
+                    Ok(n) => dma_accesses = n,
                     Err(e) => {
                         fault = Some(e.into());
                         break 'cycles;
                     }
                 }
+                *tcdm_dma_accesses += u64::from(dma_accesses);
                 progressed |= dma.beats() != dma_beats_before;
             }
-            if barrier_waiting > 0 && barrier_waiting + halted_count == cores {
-                for unit in units.iter_mut() {
-                    if unit.core.barrier_waiting() {
-                        unit.core.release_barrier();
-                    }
-                }
-                barrier_waiting = 0;
+            if let Some(t) = tracer {
+                let conflicts = arb.conflicts();
+                trace_shared_units(t, now, dma_accesses, conflicts - conflicts_seen);
+                conflicts_seen = conflicts;
             }
-            if all_silent && barrier_waiting == 0 {
+            barrier_waiting = release_barrier(units, tracer, now, barrier_waiting, halted_count);
+            if draining {
+                now += 1;
+            } else if all_silent && barrier_waiting == 0 {
                 // Nothing acted and nothing can until the earliest resume:
-                // jump there, clamped so the stuck-exit and timeout
-                // boundaries fire at exactly the cycles the checks above
-                // would see. (A silent cycle makes no progress.)
-                now = wake.min(stop).min(last_progress + BLOCK_STUCK_EXIT + 1);
+                // jump there. (A silent cycle makes no progress.)
+                now = wake.min(stop).min(last_progress + DEADLOCK_WINDOW + 1);
             } else {
                 now += 1;
                 if progressed {
                     last_progress = now;
                 }
+            }
+            let quiet_since = if draining { drain_start } else { last_progress };
+            if now - quiet_since > DEADLOCK_WINDOW {
+                deadlocked = true;
+                break;
             }
         }
         self.cycle = now;
@@ -909,48 +716,19 @@ impl Cluster {
         self.halted_count = halted_count;
         self.barrier_waiting_count = barrier_waiting;
         self.block_replayed_cycles += now - start;
-        match fault {
-            Some(e) => Err(RunError::Fault(e)),
-            None => Ok(now > start),
+        if let Some(e) = fault {
+            return Err(RunError::Fault(e));
         }
+        if deadlocked {
+            return Err(RunError::Deadlock { cycle: now, pc: self.stuck_pc() });
+        }
+        Ok(done)
     }
 
     /// The program counter of the first non-halted hart (hart 0 when all
     /// have halted) — the most useful single pc for a deadlock report.
     fn stuck_pc(&self) -> u32 {
         self.units.iter().find(|u| !u.core.halted()).unwrap_or(&self.units[0]).core.pc()
-    }
-
-    /// When every unit is provably silent this cycle, the earliest future
-    /// cycle at which any unit can act again; `None` when some unit may act
-    /// (and count stalls or activity) on the very next step.
-    ///
-    /// The conditions are conservative by construction: every hart halted or
-    /// inside a pre-charged `stall_until` window, every FP subsystem empty
-    /// with only time-stamped deliveries in flight, every SSR streamer
-    /// unarmed with no write data queued, no hart waiting at the barrier
-    /// (barrier waits re-count a stall each cycle), and the DMA engine idle
-    /// (an active transfer moves — or counts a blocked cycle — every cycle).
-    fn quiescent_wake(&self) -> Option<u64> {
-        if !self.dma.idle() || self.barrier_waiting_count > 0 {
-            return None;
-        }
-        let now = self.cycle;
-        let mut wake = u64::MAX;
-        for unit in &self.units {
-            if !unit.core.halted() {
-                let resume = unit.core.stall_until();
-                if resume <= now {
-                    return None;
-                }
-                wake = wake.min(resume);
-            }
-            wake = wake.min(unit.fpss.quiescent_until(now)?);
-            if !unit.ssrs.iter().all(Ssr::quiescent) {
-                return None;
-            }
-        }
-        (wake > now && wake < u64::MAX).then_some(wake)
     }
 }
 
@@ -1128,13 +906,8 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected() {
-        // An FPU fence that can never drain: SSR read stream armed with no
-        // consumer... simpler: a branch spinning on a register that never
-        // changes while nothing else progresses would still issue
-        // instructions. Instead: fld from an SSR-armed... Use an infinite
-        // self-loop with no instruction issue: branch to self *stalled* on an
-        // FP-pending register that never resolves is impossible by
-        // construction, so use scfgwi to a busy streamer that never drains.
+        // Reconfiguring an armed SSR stream that nothing consumes stalls the
+        // core forever while no unit makes progress.
         let mut b = ProgramBuilder::new();
         use snitch_riscv::csr::SsrCfgWord;
         b.li(IntReg::A0, 3); // 4 elements
@@ -1146,11 +919,21 @@ mod tests {
         b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // stalls forever
         b.ecall();
         let p = b.build().unwrap();
-        let mut c = Cluster::new(ClusterConfig::default());
-        c.load_program(&p);
-        match c.run() {
-            Err(RunError::Deadlock { .. }) => {}
-            other => panic!("expected deadlock, got {other:?}"),
+        let run = |burst: bool| {
+            let mut c = Cluster::new(ClusterConfig::default());
+            c.set_block_compile(burst);
+            c.load_program(&p);
+            c.run()
+        };
+        match (run(true), run(false)) {
+            (
+                Err(RunError::Deadlock { cycle, pc }),
+                Err(RunError::Deadlock { cycle: ref_cycle, pc: ref_pc }),
+            ) => {
+                assert_eq!((cycle, pc), (ref_cycle, ref_pc), "burst vs reference stepper");
+                assert!(cycle > DEADLOCK_WINDOW);
+            }
+            other => panic!("expected two deadlocks, got {other:?}"),
         }
     }
 
@@ -1465,6 +1248,7 @@ mod tests {
         traced.load_program(&p);
         let stats = traced.run().unwrap();
         assert_eq!(stats, untraced, "tracing must not perturb the simulation");
+        assert_eq!(traced.block_replayed_cycles(), stats.cycles, "the burst runs traced runs");
 
         let events = traced.trace_events().expect("cfg.trace attaches a tracer");
         // Issue events mirror the issue counters lane for lane.
@@ -1541,10 +1325,7 @@ mod tests {
         profiled.load_program(&p);
         let stats = profiled.run().unwrap();
         assert_eq!(stats, unprofiled, "profiling must not perturb the simulation");
-        assert!(
-            profiled.block_replayed_cycles() > 0,
-            "the profiler must not disengage the block-burst fast path"
-        );
+        assert_eq!(profiled.block_replayed_cycles(), stats.cycles, "the burst runs every cycle");
 
         let profile = profiled.profile().expect("cfg.profile attaches a profiler");
         // Issue histograms mirror the issue counters lane for lane...

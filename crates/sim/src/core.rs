@@ -191,8 +191,8 @@ impl IntCore {
     /// The first cycle at which this core will attempt to issue again. While
     /// `stall_until > now` the core is in a *silent* stall (a taken branch's
     /// refill window, charged in full at branch time): `step` returns
-    /// without touching any counter, which is what makes these cycles
-    /// skippable by the cluster's quiescent fast path.
+    /// without touching any counter, which is what lets the cluster's block
+    /// burst skip the hart as silent.
     #[must_use]
     pub fn stall_until(&self) -> u64 {
         self.stall_until
@@ -256,8 +256,11 @@ impl IntCore {
         false
     }
 
-    /// One issue attempt. Returns `Err` on machine faults; sets
-    /// [`halted`](Self::halted) on `ecall`.
+    /// One issue attempt through the generic issue path: decodes the
+    /// [`Inst`] itself, so it handles every op. The block burst delegates
+    /// CSR, SSR-config and DMA micro-ops and misaligned pcs to it, and the
+    /// reference stepper issues every instruction through it. Returns `Err`
+    /// on machine faults; sets [`halted`](Self::halted) on `ecall`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
@@ -680,7 +683,8 @@ impl IntCore {
 /// write-back port claims, pc updates and bookings as `step` — through the
 /// same helpers — but driven by pre-lowered `BlockInst` micro-ops instead of
 /// re-matching [`Inst`] every cycle. The differential suite in
-/// `tests/block_compile.rs` pins the equivalence against the stepper.
+/// `tests/block_compile.rs` pins the equivalence against the reference
+/// stepper, which issues through `step` alone.
 impl IntCore {
     /// One issue attempt on the fast path. Callers guarantee the core is
     /// not halted and not inside a `stall_until` window.
@@ -702,7 +706,7 @@ impl IntCore {
         use crate::block::{BlockOp, OffloadVal};
         debug_assert!(!self.halted && self.stall_until <= now);
         // Pre-lowered pc-relative values assume a word-aligned pc; a
-        // misaligned jump target is the stepper's problem.
+        // misaligned jump target takes the generic issue path.
         if self.pc & 3 != 0 {
             return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
         }
@@ -728,8 +732,8 @@ impl IntCore {
                 return Ok(());
             }
             // CSR (barrier, fences, SSR enable), SSR-config and DMA micro-ops
-            // keep their stateful semantics by delegating to the reference
-            // stepper, which redoes its own housekeeping and hazard scan.
+            // keep their stateful semantics by delegating to the generic
+            // issue path, which redoes its own housekeeping and hazard scan.
             BlockOp::Generic | BlockOp::FenceWait => {
                 return self.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, charge);
             }
@@ -821,7 +825,7 @@ impl IntCore {
                 return Ok(());
             }
             BlockOp::Generic | BlockOp::FenceWait => {
-                unreachable!("dispatched to the stepper above")
+                unreachable!("dispatched to the generic issue path above")
             }
         }
         self.pc = self.pc.wrapping_add(4);

@@ -272,31 +272,6 @@ impl Fpss {
             && self.ssr_pushes.is_empty()
     }
 
-    /// If the subsystem provably does nothing on its own until some future
-    /// cycle, returns the earliest cycle at which it can act again: the next
-    /// write-back or SSR-push delivery, or the pipeline drain point
-    /// (`busy_until`, observable through the fence condition). Returns
-    /// `u64::MAX` when fully idle with nothing in flight, and `None` when it
-    /// has queued work (non-empty FIFO or an active sequencer) and may act —
-    /// and count stalls — on the very next cycle.
-    #[must_use]
-    pub fn quiescent_until(&self, now: u64) -> Option<u64> {
-        if !self.fifo.is_empty() || self.seq != SeqState::Idle {
-            return None;
-        }
-        let mut wake = u64::MAX;
-        for &(cycle, _) in &self.int_wb {
-            wake = wake.min(cycle);
-        }
-        for &(cycle, _, _) in &self.ssr_pushes {
-            wake = wake.min(cycle);
-        }
-        if self.busy_until > now {
-            wake = wake.min(self.busy_until);
-        }
-        Some(wake)
-    }
-
     /// One cycle of FPSS work: deliver due SSR pushes, then let the
     /// sequencer/FPU issue at most one operation.
     ///

@@ -31,8 +31,9 @@ pub enum TcdmPort {
 /// Banks are 64-bit wide and interleaved at 8-byte granularity (`addr >> 3`
 /// selects the bank — matching the 64-bit banking the SSR and LSU data paths
 /// assume). Each bank serves one request per cycle; the caller order in
-/// `Cluster::step` establishes the fixed priority (hart 0 > hart 1 > ... and,
-/// within a hart, core > FP LSU > SSR0..2; the DMA engine arbitrates last).
+/// the cluster's run loop establishes the fixed priority (hart 0 >
+/// hart 1 > ... and, within a hart, core > FP LSU > SSR0..2; the DMA
+/// engine arbitrates last).
 ///
 /// A denied request is retried by the requesting unit every cycle until
 /// granted, but is counted as **one** conflict, not one per retry cycle —

@@ -519,9 +519,10 @@ impl System {
         self.clusters.iter().all(Cluster::halted)
     }
 
-    /// Forces block compilation on or off in every cluster (see
-    /// [`Cluster::set_block_compile`]). [`reset`](Self::reset) restores the
-    /// default.
+    /// Runs every cluster on the block burst or on the reference stepper
+    /// (see [`Cluster::set_block_compile`]; only with the `testing`
+    /// feature).
+    #[cfg(any(test, feature = "testing"))]
     pub fn set_block_compile(&mut self, enabled: bool) {
         for c in &mut self.clusters {
             c.set_block_compile(enabled);
@@ -748,12 +749,12 @@ mod tests {
 
     #[test]
     fn rerun_restores_settings_and_instrumentation() {
-        // The forward-dataflow sum re-runs clusters 1..: the fast paths
-        // stay off, and every cluster's tracer and profiler hold exactly
-        // the events and charges of its run in cluster-id order.
+        // The forward-dataflow sum re-runs clusters 1..: the reference
+        // stepper stays selected, and every cluster's tracer and profiler
+        // hold exactly the events and charges of its run in cluster-id
+        // order.
         let mut b = ProgramBuilder::new();
         let acc = b.l2_reserve("acc", 8, 8);
-        // Taken branches leave silent refill windows for the skip.
         b.li(IntReg::A4, 3);
         b.label("spin");
         b.addi(IntReg::A4, IntReg::A4, -1);
@@ -770,7 +771,6 @@ mod tests {
             sys.set_block_compile(false);
             for k in 0..3 {
                 let c = sys.cluster_mut(k);
-                c.set_quiescent_skip(false);
                 if instrumented {
                     c.attach_tracer(Tracer::new());
                     c.attach_profiler(Profiler::new());
@@ -786,7 +786,6 @@ mod tests {
             for k in 0..3 {
                 let c = sys.cluster(k);
                 assert_eq!(c.block_replayed_cycles(), 0, "cluster {k}: block compilation off");
-                assert_eq!(c.skipped_cycles(), 0, "cluster {k}: quiescent skip off");
             }
             sys
         };

@@ -1,14 +1,16 @@
 //! Shared differential-testing harness (the `testing` feature).
 //!
 //! The seeded random multi-core program generator and the state-capture
-//! helper used by the fast-path equivalence suites (`tests/quiescent_skip.rs`
-//! and `tests/block_compile.rs`), and the hooks that run a multi-cluster
-//! [`System`] in cluster-id order for `tests/system_order.rs`. One
-//! generator instead of per-suite copies: a fragment kind added here is
-//! exercised against *every* fast path.
+//! helper used by the burst-vs-reference-stepper suite
+//! (`tests/block_compile.rs`), and the hooks that run a multi-cluster
+//! [`System`] in cluster-id order for `tests/system_order.rs`. The same
+//! feature compiles the reference stepper itself
+//! ([`Cluster::set_block_compile`]), the oracle those suites compare the
+//! block burst against. One generator instead of per-suite copies: a
+//! fragment kind added here is exercised against every run loop.
 //!
 //! Deterministic by construction (seeded xorshift, no external
-//! property-testing dependency — the repo convention since PR 1); not part
+//! property-testing dependency, as everywhere in the repo); not part
 //! of the simulator API and compiled only with the `testing` feature.
 
 use snitch_asm::builder::ProgramBuilder;
@@ -49,7 +51,7 @@ impl Rng {
 fn fragment(b: &mut ProgramBuilder, rng: &mut Rng, tag: usize, parallel: bool) {
     match rng.below(if parallel { 7 } else { 6 }) {
         // Integer loop with a data-dependent tail (taken branches produce
-        // the silent refill windows the fast paths target).
+        // the silent refill windows the burst jumps over).
         0 => {
             let iters = 2 + rng.below(6) as i32;
             b.li(IntReg::A1, iters);
@@ -171,7 +173,7 @@ pub struct Observation {
 }
 
 /// Runs `program` on a fresh `cores`-core cluster — `configure` picks the
-/// execution mode (fast paths on/off, tracers) before the program loads —
+/// execution mode (burst or reference stepper, tracers) before the program loads —
 /// and captures the architectural state a differential suite compares.
 ///
 /// # Panics

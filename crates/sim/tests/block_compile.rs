@@ -1,16 +1,15 @@
-//! Equivalence of the block-compiled fast path against the force-stepped
-//! reference loop: pseudo-random programs (integer loops, FP and FREP
-//! bodies, SSR streams, DMA copies with wait loops, barriers) on 1, 2 and 4
-//! harts and the tiled GEMM on 8-hart clusters must produce bit-identical
-//! [`Stats`](snitch_sim::Stats) (including final cycle counts), registers
-//! and memory with block compilation enabled and with both fast paths
-//! disabled — plus engagement pins that the burst actually fired, fallback
-//! pins that tracers and the deadlock/timeout watchdogs behave identically,
-//! and ledger pins that the cycle profile equals the per-hart counters on
-//! both paths.
+//! Equivalence of the block burst (the only production run loop) against
+//! the per-cycle reference stepper (`set_block_compile(false)`, compiled
+//! only with the `testing` feature): pseudo-random programs (integer loops,
+//! FP and FREP bodies, SSR streams, DMA copies with wait loops, barriers) on
+//! 1, 2 and 4 harts and the tiled GEMM on 8-hart clusters must produce
+//! bit-identical [`Stats`](snitch_sim::Stats) (including final cycle
+//! counts), registers, memory and trace event streams on both — plus
+//! engagement pins that the burst ran every cycle, pins that the deadlock,
+//! timeout and fault reports carry the same cycle and pc, and ledger pins
+//! that the cycle profile equals the per-hart counters on both.
 //!
-//! The program generator is the shared one in [`snitch_sim::testing`]; the
-//! quiescent-skip path has its own suite in `quiescent_skip.rs`.
+//! The program generator is the shared one in [`snitch_sim::testing`].
 
 use snitch_asm::builder::ProgramBuilder;
 use snitch_asm::layout::{TCDM_BASE, TCDM_SIZE};
@@ -25,14 +24,11 @@ use snitch_sim::error::RunError;
 use snitch_sim::system::System;
 use snitch_sim::testing::{observe_with, random_program, Observation, Rng};
 use snitch_sim::Stats;
-use snitch_trace::Profile;
+use snitch_trace::{EventKind, Profile, TraceEvent};
 
-/// The reference arm: every fast path off, pure per-cycle stepping.
+/// The reference arm: pure per-cycle stepping.
 fn observe_stepped(program: &Program, cores: usize) -> Observation {
-    observe_with(program, cores, |c| {
-        c.set_block_compile(false);
-        c.set_quiescent_skip(false);
-    })
+    observe_with(program, cores, |c| c.set_block_compile(false))
 }
 
 #[test]
@@ -42,7 +38,7 @@ fn block_matches_force_stepped_reference_on_random_programs() {
         let cores = [1, 1, 2, 4][rng.below(4) as usize];
         let frags = 3 + rng.below(5) as usize;
         let program = random_program(&mut rng, cores, frags);
-        let fast = observe_with(&program, cores, |_| {}); // both fast paths on (defaults)
+        let fast = observe_with(&program, cores, |_| {}); // the burst (default)
         let reference = observe_stepped(&program, cores);
         assert_eq!(fast.stats, reference.stats, "stats diverge (case {case}, cores {cores})");
         assert_eq!(fast.fp_regs, reference.fp_regs, "fp registers diverge (case {case})");
@@ -50,9 +46,8 @@ fn block_matches_force_stepped_reference_on_random_programs() {
     }
 }
 
-/// Engagement pin on the random population: single-core programs start with
-/// every burst entry guard satisfied, so the fast path must fire on each of
-/// them — and its counter stays disjoint from the quiescent-skip counter.
+/// Engagement pin on the random population: the burst runs every cycle of
+/// each single-core program, including the post-halt drain.
 #[test]
 fn block_burst_engages_on_random_single_core_programs() {
     let mut rng = Rng(0xb10c_cafe_f00d_0003);
@@ -62,21 +57,12 @@ fn block_burst_engages_on_random_single_core_programs() {
         let mut c = Cluster::new(ClusterConfig::default());
         c.load_program(&program);
         let stats = c.run().expect("random program completes");
-        assert!(
-            c.block_replayed_cycles() > 0,
-            "burst never engaged (case {case}, {} cycles)",
-            stats.cycles
-        );
-        assert!(
-            c.block_replayed_cycles() + c.skipped_cycles() <= stats.cycles,
-            "fast-path counters overlap (case {case})"
-        );
+        assert_eq!(c.block_replayed_cycles(), stats.cycles, "case {case}");
     }
 }
 
 /// The same pin on SPMD programs: every hart runs, barriers and DMA copies
-/// included, and the burst drives them all — so it fires on each seeded
-/// 2- and 4-core program and owns most of its cycles.
+/// included, and the burst drives them all for every cycle.
 #[test]
 fn block_burst_engages_on_random_multi_core_programs() {
     let mut rng = Rng(0xb10c_cafe_f00d_0007);
@@ -87,71 +73,102 @@ fn block_burst_engages_on_random_multi_core_programs() {
         let mut c = Cluster::new(ClusterConfig { cores, ..ClusterConfig::default() });
         c.load_program(&program);
         let stats = c.run().expect("random program completes");
-        let (replayed, skipped) = (c.block_replayed_cycles(), c.skipped_cycles());
-        assert!(
-            replayed > 0,
-            "burst never engaged (case {case}, {cores} cores, {} cycles)",
-            stats.cycles
-        );
-        assert!(replayed + skipped <= stats.cycles, "fast-path counters overlap (case {case})");
+        assert_eq!(c.block_replayed_cycles(), stats.cycles, "case {case}, {cores} cores");
     }
 }
 
-/// On a pure integer program the burst owns the run end to end: every
-/// elapsed cycle is a replayed cycle, and the quiescent-skip path (which
-/// would otherwise fast-forward the branch refill windows) never engages.
+/// On pure integer programs the burst owns the run end to end, and equals
+/// the stepper: straight-line ALU and multiply work (write-back port
+/// hazards), and a 500-iteration branch spin whose 499 taken branches leave
+/// 2-cycle silent refill windows that the burst jumps over and still
+/// charges as branch stalls.
 #[test]
 fn block_burst_owns_a_pure_integer_run() {
-    let mut b = ProgramBuilder::new();
-    b.li(IntReg::A0, 500);
-    b.label("spin");
-    b.addi(IntReg::A0, IntReg::A0, -1);
-    b.bnez(IntReg::A0, "spin");
-    b.ecall();
-    let p = b.build().unwrap();
+    let mut straight = ProgramBuilder::new();
+    straight.li(IntReg::A0, 3);
+    for _ in 0..16 {
+        straight.mul(IntReg::A1, IntReg::A0, IntReg::A0);
+        straight.addi(IntReg::A2, IntReg::A0, 1);
+        straight.add(IntReg::A0, IntReg::A1, IntReg::A2);
+    }
+    straight.ecall();
+    let mut spin = ProgramBuilder::new();
+    spin.li(IntReg::A0, 500);
+    spin.label("spin");
+    spin.addi(IntReg::A0, IntReg::A0, -1);
+    spin.bnez(IntReg::A0, "spin");
+    spin.ecall();
 
-    let mut c = Cluster::new(ClusterConfig::default());
-    c.load_program(&p);
-    let stats = c.run().unwrap();
-    assert_eq!(c.block_replayed_cycles(), stats.cycles, "the whole run bursts");
-    assert_eq!(c.skipped_cycles(), 0, "nothing left for the quiescent path");
+    for (name, b, stall_branch) in [("straight", straight, 0), ("spin", spin, 998)] {
+        let p = b.build().unwrap();
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.load_program(&p);
+        let stats = c.run().unwrap();
+        assert_eq!(c.block_replayed_cycles(), stats.cycles, "{name}: the whole run bursts");
+        assert_eq!(stats.stall_branch, stall_branch, "{name}");
 
-    let mut reference = Cluster::new(ClusterConfig::default());
-    reference.set_block_compile(false);
-    reference.set_quiescent_skip(false);
-    reference.load_program(&p);
-    let ref_stats = reference.run().unwrap();
-    assert_eq!(reference.block_replayed_cycles(), 0);
-    assert_eq!(stats, ref_stats);
+        let mut reference = Cluster::new(ClusterConfig::default());
+        reference.set_block_compile(false);
+        reference.load_program(&p);
+        let ref_stats = reference.run().unwrap();
+        assert_eq!(reference.block_replayed_cycles(), 0, "{name}");
+        assert_eq!(stats, ref_stats, "{name}");
+        assert_eq!(c.int_reg(IntReg::A0), reference.int_reg(IntReg::A0), "{name}");
+    }
 }
 
-/// A recording tracer forces the stepper (the burst has no event hooks), so
-/// traced runs must be cycle- and event-identical with block compilation on
-/// vs off — and the engagement counter must stay at zero.
+/// Runs `program` traced on the burst or on the stepper; returns the stats,
+/// every hart's integer and FP registers and the event stream. The burst
+/// arm must have run every cycle.
+fn traced_run(program: &Program, cores: usize, burst: bool) -> (Stats, Vec<u64>, Vec<TraceEvent>) {
+    let mut c = Cluster::new(ClusterConfig { cores, trace: true, ..ClusterConfig::default() });
+    c.set_block_compile(burst);
+    c.load_program(program);
+    let stats = c.run().expect("traced program completes");
+    if burst {
+        assert_eq!(c.block_replayed_cycles(), stats.cycles, "the burst runs the traced run");
+    }
+    let mut regs = Vec::new();
+    for h in 0..cores {
+        regs.extend((0..32).map(|r| u64::from(c.int_reg_of(h, IntReg::new(r)))));
+        regs.extend((0..32).map(|r| c.fp_reg_of(h, FpReg::new(r))));
+    }
+    (stats, regs, c.take_tracer().expect("cfg.trace attaches a tracer").into_events())
+}
+
+/// Traced runs take the burst, and its event stream equals the stepper's
+/// event for event, along with the stats and registers, on the random
+/// population at 1, 2 and 4 harts. The population must exercise every
+/// event the burst emits outside the charge path: SSR beats, DMA activity,
+/// bank conflicts and barrier releases.
 #[test]
 fn traced_runs_are_event_identical_block_on_vs_off() {
     let mut rng = Rng(0xb10c_cafe_f00d_0004);
-    let program = random_program(&mut rng, 1, 5);
-
-    let run = |block: bool| {
-        let mut c = Cluster::new(ClusterConfig::traced());
-        c.set_block_compile(block);
-        c.load_program(&program);
-        let stats = c.run().expect("traced program completes");
-        let replayed = c.block_replayed_cycles();
-        let events = c.take_tracer().expect("cfg.trace attaches a tracer");
-        (stats, replayed, events.into_events())
-    };
-    let (on_stats, on_replayed, on_events) = run(true);
-    let (off_stats, _, off_events) = run(false);
-    assert_eq!(on_replayed, 0, "a recording tracer must force the stepper");
-    assert_eq!(on_stats, off_stats, "traced stats diverge");
-    assert_eq!(on_events, off_events, "traced event streams diverge");
+    let mut seen = [false; 4];
+    for case in 0..24 {
+        let cores = [1, 2, 4][case % 3];
+        let frags = 3 + rng.below(5) as usize;
+        let program = random_program(&mut rng, cores, frags);
+        let (on_stats, on_regs, on_events) = traced_run(&program, cores, true);
+        let (off_stats, off_regs, off_events) = traced_run(&program, cores, false);
+        assert_eq!(on_stats, off_stats, "traced stats diverge (case {case}, cores {cores})");
+        assert_eq!(on_regs, off_regs, "registers diverge (case {case}, cores {cores})");
+        assert!(on_events == off_events, "event streams diverge (case {case}, cores {cores})");
+        for e in &on_events {
+            match e.kind {
+                EventKind::SsrBeat { .. } => seen[0] = true,
+                EventKind::DmaActive { .. } => seen[1] = true,
+                EventKind::BankConflicts { .. } => seen[2] = true,
+                EventKind::BarrierRelease => seen[3] = true,
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(seen, [true; 4], "SSR, DMA, bank-conflict and barrier events all exercised");
 }
 
-/// The deadlock watchdog must report the same cycle and pc with the burst
-/// on and off (the burst bails out long before the deadlock window closes,
-/// leaving the report to the reference path).
+/// The deadlock watchdog must report the same cycle and pc on the burst and
+/// on the stepper.
 #[test]
 fn deadlock_reported_at_identical_cycles_block_on_vs_off() {
     // An armed SSR stream nobody consumes: reconfiguring it stalls forever.
@@ -169,7 +186,6 @@ fn deadlock_reported_at_identical_cycles_block_on_vs_off() {
     let run = |block: bool| {
         let mut c = Cluster::new(ClusterConfig::default());
         c.set_block_compile(block);
-        c.set_quiescent_skip(block); // reference arm: everything off
         c.load_program(&p);
         c.run()
     };
@@ -199,7 +215,6 @@ fn timeout_reported_at_identical_cycles_block_on_vs_off() {
     let run = |block: bool, max_cycles: u64| {
         let mut c = Cluster::new(ClusterConfig { max_cycles, ..ClusterConfig::default() });
         c.set_block_compile(block);
-        c.set_quiescent_skip(block);
         c.load_program(&p);
         c.run()
     };
@@ -214,16 +229,15 @@ fn timeout_reported_at_identical_cycles_block_on_vs_off() {
     }
 }
 
-/// Runs `p` on a `cores`-hart cluster with every fast path on or off; with
-/// them on, the burst must have engaged.
-fn run_mode(p: &Program, cores: usize, max_cycles: u64, fast: bool) -> Result<u64, RunError> {
+/// Runs `p` on a `cores`-hart cluster on the burst or on the stepper; the
+/// burst must have run every elapsed cycle.
+fn run_mode(p: &Program, cores: usize, max_cycles: u64, burst: bool) -> Result<u64, RunError> {
     let mut c = Cluster::new(ClusterConfig { cores, max_cycles, ..ClusterConfig::default() });
-    c.set_block_compile(fast);
-    c.set_quiescent_skip(fast);
+    c.set_block_compile(burst);
     c.load_program(p);
     let result = c.run().map(|s| s.cycles);
-    if fast {
-        assert!(c.block_replayed_cycles() > 0, "the burst drives the harts");
+    if burst {
+        assert_eq!(c.block_replayed_cycles(), c.stats().cycles, "the burst drives the harts");
     }
     result
 }
@@ -248,6 +262,34 @@ fn multi_core_timeout_reported_at_identical_cycles_block_on_vs_off() {
             }
             other => panic!("expected two timeouts at limit {max_cycles}, got {other:?}"),
         }
+    }
+}
+
+/// A drain that never ends: the hart halts with an armed SSR read stream
+/// nobody consumes, so the streamer stays busy after the `ecall`. The
+/// deadlock is counted from the first drain cycle, and reported at the same
+/// cycle and pc on the burst and on the stepper.
+#[test]
+fn drain_deadlock_reported_at_identical_cycles_block_on_vs_off() {
+    let mut b = ProgramBuilder::new();
+    b.li(IntReg::A0, 15);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Bound(0));
+    b.li(IntReg::A0, 8);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Stride(0));
+    b.li_u(IntReg::A0, TCDM_BASE);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // arms
+    b.ecall();
+    let p = b.build().unwrap();
+    let max_cycles = ClusterConfig::default().max_cycles;
+    match (run_mode(&p, 1, max_cycles, true), run_mode(&p, 1, max_cycles, false)) {
+        (
+            Err(RunError::Deadlock { cycle: c1, pc: p1 }),
+            Err(RunError::Deadlock { cycle: c2, pc: p2 }),
+        ) => {
+            assert_eq!((c1, p1), (c2, p2), "deadlock report must be cycle-identical");
+            assert!(c1 > 50_000 && c1 < 50_100, "counted from the drain start: {c1}");
+        }
+        other => panic!("expected two deadlocks, got {other:?}"),
     }
 }
 
@@ -306,7 +348,6 @@ fn dma_faults_reported_at_identical_cycles_block_on_vs_off() {
         let run = |block: bool| {
             let mut c = Cluster::new(ClusterConfig::default());
             c.set_block_compile(block);
-            c.set_quiescent_skip(block);
             c.load_program(&p);
             let result = c.run();
             assert_eq!(c.block_replayed_cycles() > 0, block, "the burst meets the fault");
@@ -367,7 +408,6 @@ fn ssr_faults_reported_at_identical_cycles_block_on_vs_off() {
         let run = |block: bool| {
             let mut c = Cluster::new(ClusterConfig::default());
             c.set_block_compile(block);
-            c.set_quiescent_skip(block);
             c.load_program(&p);
             let result = c.run();
             assert_eq!(c.block_replayed_cycles() > 0, block, "the burst meets the fault");
@@ -385,14 +425,16 @@ fn ssr_faults_reported_at_identical_cycles_block_on_vs_off() {
 }
 
 /// Everything a tiled-GEMM system run leaves behind, hart by hart: each
-/// hart's counters, integer and FP registers, then every cluster's TCDM and
-/// the shared L2 result matrix.
+/// hart's counters, integer and FP registers, then every cluster's TCDM,
+/// trace events and profile, and the shared L2 result matrix.
 #[derive(Debug, PartialEq)]
 struct SystemObservation {
     hart_stats: Vec<Stats>,
     int_regs: Vec<u32>,
     fp_regs: Vec<u64>,
     tcdm: Vec<u64>,
+    events: Vec<TraceEvent>,
+    profiles: Vec<Option<Profiler>>,
     c_matrix: Vec<u64>,
 }
 
@@ -401,15 +443,18 @@ fn observe_gemm(
     n: usize,
     cores: usize,
     clusters: usize,
-    fast: bool,
+    burst: bool,
+    instrumented: bool,
 ) -> SystemObservation {
     let program = Kernel::GemmTiled.build_grid(variant, n, 0, cores, clusters);
-    let cluster = ClusterConfig { cores, ..ClusterConfig::default() };
+    let cluster = ClusterConfig {
+        cores,
+        trace: instrumented,
+        profile: instrumented,
+        ..ClusterConfig::default()
+    };
     let mut sys = System::new(SystemConfig { cluster, clusters });
-    sys.set_block_compile(fast);
-    for k in 0..clusters {
-        sys.cluster_mut(k).set_quiescent_skip(fast);
-    }
+    sys.set_block_compile(burst);
     sys.load_program(&program);
     sys.run().expect("gemm_tiled completes");
     let mut obs = SystemObservation {
@@ -417,13 +462,17 @@ fn observe_gemm(
         int_regs: Vec::new(),
         fp_regs: Vec::new(),
         tcdm: Vec::new(),
+        events: Vec::new(),
+        profiles: Vec::new(),
         c_matrix: Vec::new(),
     };
     for k in 0..clusters {
         let c = sys.cluster(k);
-        if fast {
-            assert!(c.block_replayed_cycles() > 0, "burst never engaged (cluster {k})");
+        if burst {
+            assert_eq!(c.block_replayed_cycles(), c.stats().cycles, "cluster {k}: burst cycles");
         }
+        obs.events.extend_from_slice(c.trace_events().unwrap_or_default());
+        obs.profiles.push(c.profile().cloned());
         for h in 0..cores {
             obs.hart_stats.push(c.core_stats(h).clone());
             obs.int_regs.extend((0..32).map(|r| c.int_reg_of(h, IntReg::new(r))));
@@ -438,19 +487,26 @@ fn observe_gemm(
 }
 
 /// The tiled GEMM on 8-hart clusters (barriers, DMA staging, L2 traffic and
-/// TCDM contention across all harts), in one and two clusters: per-hart
-/// counters, registers and memory identical with the burst on and off.
+/// TCDM contention across all harts), in one and two clusters, plain and
+/// traced and profiled: per-hart counters, registers, memory and every
+/// cluster's event stream and profile identical on the burst and on the
+/// stepper.
 #[test]
 fn gemm_tiled_multi_core_matches_force_stepped_reference() {
     for variant in Variant::all() {
-        for clusters in [1, 2] {
-            let fast = observe_gemm(variant, 32, 8, clusters, true);
-            let reference = observe_gemm(variant, 32, 8, clusters, false);
-            assert_eq!(fast.hart_stats, reference.hart_stats, "{variant:?} x{clusters}: stats");
-            assert_eq!(fast.int_regs, reference.int_regs, "{variant:?} x{clusters}: int regs");
-            assert_eq!(fast.fp_regs, reference.fp_regs, "{variant:?} x{clusters}: fp regs");
-            assert!(fast.tcdm == reference.tcdm, "{variant:?} x{clusters}: TCDM diverges");
-            assert_eq!(fast.c_matrix, reference.c_matrix, "{variant:?} x{clusters}: C matrix");
+        for (clusters, instrumented) in [(1, false), (2, false), (1, true), (2, true)] {
+            let shape = format!("{variant:?} x{clusters} instrumented {instrumented}");
+            let fast = observe_gemm(variant, 32, 8, clusters, true, instrumented);
+            let reference = observe_gemm(variant, 32, 8, clusters, false, instrumented);
+            assert_eq!(fast.hart_stats, reference.hart_stats, "{shape}: stats");
+            assert_eq!(fast.int_regs, reference.int_regs, "{shape}: int regs");
+            assert_eq!(fast.fp_regs, reference.fp_regs, "{shape}: fp regs");
+            assert!(fast.tcdm == reference.tcdm, "{shape}: TCDM diverges");
+            assert_eq!(fast.events.is_empty(), !instrumented, "{shape}");
+            assert!(fast.events == reference.events, "{shape}: event streams diverge");
+            assert!(fast.profiles.iter().all(|p| p.is_some() == instrumented), "{shape}");
+            assert!(fast.profiles == reference.profiles, "{shape}: profiles diverge");
+            assert_eq!(fast.c_matrix, reference.c_matrix, "{shape}: C matrix");
         }
     }
 }
@@ -500,9 +556,7 @@ fn profiles_mirror_per_hart_stats_block_on_vs_off() {
         let full_on = run_profiled(&program, cores, true, cores);
         let full_off = run_profiled(&program, cores, false, cores);
         assert_eq!(full_on.profile(), full_off.profile(), "histograms diverge (case {case})");
-        if cores == 1 {
-            assert!(full_on.block_replayed_cycles() > 0, "burst never engaged (case {case})");
-        }
+        assert_eq!(full_on.block_replayed_cycles(), full_on.stats().cycles, "case {case}");
         for block in [true, false] {
             let mut below = ([0; 3], vec![0; StallCause::all().len()]);
             for hart in 0..cores {
@@ -535,6 +589,7 @@ fn trace_attribution_matches_stats_and_profile() {
         let mut c = Cluster::new(cfg);
         c.load_program(&program);
         let stats = c.run().expect("random program completes");
+        assert_eq!(c.block_replayed_cycles(), stats.cycles, "the burst runs the traced run");
         let trace =
             Profile::new(c.trace_events().expect("cfg.trace attaches a tracer"), stats.cycles);
         for hart in 0..cores {

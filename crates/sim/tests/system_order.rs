@@ -80,8 +80,8 @@ fn concurrent_clusters_equal_cluster_id_order_on_every_scaling_shape() {
         for clusters in CLUSTERS {
             for cores in CORES {
                 let program = Kernel::GemmTiled.build_grid(variant, D, 0, cores, clusters);
-                // A recording tracer runs the reference stepper; untraced
-                // runs take the block burst. Both paths meet every order.
+                // Traced and untraced runs both take the block burst; the
+                // traced shapes also compare cluster 0's event stream.
                 let traced = cores <= 2;
                 let concurrent = observe(&program, cores, clusters, false, traced);
                 let in_order = observe(&program, cores, clusters, true, traced);
