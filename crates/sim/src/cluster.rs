@@ -112,7 +112,8 @@ impl CoreUnit {
     /// FP→int write-backs, one issue through the block cache, the FP
     /// subsystem and the streamers — each skipped when provably a no-op.
     /// Returns whether the hart made progress (issued, or streamed a beat).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
     fn burst_cycle(
         &mut self,
         now: u64,
@@ -608,127 +609,153 @@ impl Cluster {
     /// progress, or of draining.
     fn block_burst(&mut self, stop: u64) -> Result<bool, RunError> {
         let start = self.cycle;
-        let mut now = start;
-        let mut last_progress = self.last_progress_cycle;
-        let mut halted_count = self.halted_count;
-        let mut barrier_waiting = self.barrier_waiting_count;
-        // The first cycle of the post-halt drain (`u64::MAX` until every
-        // hart has halted).
-        let mut drain_start = u64::MAX;
-        // The arbiter's conflict count the tracer has seen (conflicts only
-        // change inside a cycle, so this is also the count at its start).
-        let mut conflicts_seen = self.arb.conflicts();
-        let (mut fault, mut deadlocked, mut done) = (None, false, false);
-        let Cluster {
-            cfg,
-            text,
-            units,
-            dma,
-            mem,
-            arb,
-            tcdm_dma_accesses,
-            blocks,
-            tracer,
-            profiler,
-            ..
-        } = self;
-        let cores = units.len();
-        'cycles: loop {
-            let draining = halted_count == cores;
-            if draining {
-                if units.iter().all(|u| u.drained(now)) {
-                    done = true;
-                    break;
-                }
-                drain_start = drain_start.min(now);
-            } else if now >= stop {
-                break;
-            }
-            arb.begin_cycle();
-            let mut progressed = false;
-            // Whether every hart was silent, and the earliest resume cycle
-            // over the silent running harts.
-            let mut all_silent = true;
-            let mut wake = u64::MAX;
-            for unit in units.iter_mut() {
-                if unit.silent(now) {
-                    if !unit.core.halted() {
-                        wake = wake.min(unit.core.stall_until());
-                    }
-                    continue;
-                }
-                all_silent = false;
-                let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
-                let r = unit.burst_cycle(now, cfg, text, blocks, mem, arb, dma, tracer, profiler);
-                // Halt/barrier transitions commit even when the cycle
-                // faults, so `halted()` can never go stale on an aborted
-                // cycle.
-                halted_count += usize::from(!was_halted && unit.core.halted());
-                barrier_waiting += usize::from(!was_waiting && unit.core.barrier_waiting());
-                match r {
-                    Ok(p) => progressed |= p,
-                    Err(e) => {
-                        fault = Some(e);
-                        break 'cycles;
-                    }
-                }
-            }
-            let mut dma_accesses = 0;
-            if !dma.idle() {
-                all_silent = false;
-                let dma_beats_before = dma.beats();
-                match dma.step(mem, arb) {
-                    Ok(n) => dma_accesses = n,
-                    Err(e) => {
-                        fault = Some(e.into());
-                        break 'cycles;
-                    }
-                }
-                *tcdm_dma_accesses += u64::from(dma_accesses);
-                progressed |= dma.beats() != dma_beats_before;
-            }
-            if let Some(t) = tracer {
-                let conflicts = arb.conflicts();
-                trace_shared_units(t, now, dma_accesses, conflicts - conflicts_seen);
-                conflicts_seen = conflicts;
-            }
-            barrier_waiting = release_barrier(units, tracer, now, barrier_waiting, halted_count);
-            if draining {
-                now += 1;
-            } else if all_silent && barrier_waiting == 0 {
-                // Nothing acted and nothing can until the earliest resume:
-                // jump there. (A silent cycle makes no progress.)
-                now = wake.min(stop).min(last_progress + DEADLOCK_WINDOW + 1);
-            } else {
-                now += 1;
-                if progressed {
-                    last_progress = now;
-                }
-            }
-            let quiet_since = if draining { drain_start } else { last_progress };
-            if now - quiet_since > DEADLOCK_WINDOW {
-                deadlocked = true;
-                break;
-            }
-        }
+        let mut burst = Burst {
+            conflicts_seen: self.arb.conflicts(),
+            cfg: &self.cfg,
+            text: &self.text,
+            units: &mut self.units,
+            dma: &mut self.dma,
+            mem: &mut self.mem,
+            arb: &mut self.arb,
+            tcdm_dma_accesses: &mut self.tcdm_dma_accesses,
+            blocks: &self.blocks,
+            tracer: &mut self.tracer,
+            profiler: &mut self.profiler,
+            now: start,
+            last_progress: self.last_progress_cycle,
+            halted: self.halted_count,
+            waiting: self.barrier_waiting_count,
+        };
+        let result = burst.run(stop);
+        let Burst { now, last_progress, halted, waiting, .. } = burst;
         self.cycle = now;
         self.last_progress_cycle = last_progress;
-        self.halted_count = halted_count;
-        self.barrier_waiting_count = barrier_waiting;
+        self.halted_count = halted;
+        self.barrier_waiting_count = waiting;
         self.block_replayed_cycles += now - start;
-        if let Some(e) = fault {
-            return Err(RunError::Fault(e));
+        result
+    }
+}
+
+/// The program counter of the first non-halted hart (hart 0 when all have
+/// halted) — the most useful single pc for a deadlock report.
+fn stuck_pc(units: &[CoreUnit]) -> u32 {
+    units.iter().find(|u| !u.core.halted()).unwrap_or(&units[0]).core.pc()
+}
+
+/// One [`Cluster::block_burst`] call: the cluster's parts it drives and its
+/// run-loop counters, written back when the burst returns.
+struct Burst<'c> {
+    cfg: &'c ClusterConfig,
+    text: &'c [Decoded],
+    units: &'c mut [CoreUnit],
+    dma: &'c mut Dma,
+    mem: &'c mut Memory,
+    arb: &'c mut TcdmArbiter,
+    tcdm_dma_accesses: &'c mut u64,
+    blocks: &'c BlockCache,
+    tracer: &'c mut Option<Tracer>,
+    profiler: &'c mut Option<Profiler>,
+    now: u64,
+    last_progress: u64,
+    halted: usize,
+    waiting: usize,
+    /// The arbiter's conflict count the tracer has seen (conflicts only
+    /// change inside a cycle, so this is also the count at its start).
+    conflicts_seen: u64,
+}
+
+impl Burst<'_> {
+    /// Runs until every hart has halted, then drains; see
+    /// [`Cluster::block_burst`]. The drain has a loop of its own so the
+    /// running loop carries none of its tests.
+    fn run(&mut self, stop: u64) -> Result<bool, RunError> {
+        while self.halted < self.units.len() {
+            if self.now >= stop {
+                return Ok(false);
+            }
+            let (progressed, silent_until) = self.cycle()?;
+            if let Some(wake) = silent_until {
+                // Nothing acted and nothing can until the earliest resume:
+                // jump there. (A silent cycle makes no progress.)
+                self.now = wake.min(stop).min(self.last_progress + DEADLOCK_WINDOW + 1);
+            } else {
+                self.now += 1;
+                if progressed {
+                    self.last_progress = self.now;
+                }
+            }
+            if self.now - self.last_progress > DEADLOCK_WINDOW {
+                return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
+            }
         }
-        if deadlocked {
-            return Err(RunError::Deadlock { cycle: now, pc: self.stuck_pc() });
+        let drain_start = self.now;
+        while !self.units.iter().all(|u| u.drained(self.now)) {
+            self.cycle()?;
+            self.now += 1;
+            if self.now - drain_start > DEADLOCK_WINDOW {
+                return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
+            }
         }
-        Ok(done)
+        Ok(true)
     }
 
-    /// The program counter of the first non-halted hart (hart 0 when all
-    /// have halted) — the most useful single pc for a deadlock report.
-    fn stuck_pc(&self) -> u32 {
-        self.units.iter().find(|u| !u.core.halted()).unwrap_or(&self.units[0]).core.pc()
+    /// One cycle at `now`, without advancing the clock. Returns whether any
+    /// unit made progress and, when every hart was silent, the DMA engine
+    /// idle and nobody waits at the barrier, the earliest resume cycle over
+    /// the running harts (`u64::MAX` when none runs). A fault aborts the
+    /// cycle; the halt and barrier transitions seen so far still count.
+    /// Forced inline into both loops, and [`CoreUnit::burst_cycle`] into
+    /// it: left to the compiler, one of them is outlined and the one-hart
+    /// loop pays a call per simulated cycle.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn cycle(&mut self) -> Result<(bool, Option<u64>), SimFault> {
+        let now = self.now;
+        self.arb.begin_cycle();
+        let mut progressed = false;
+        let mut all_silent = true;
+        let mut wake = u64::MAX;
+        for unit in self.units.iter_mut() {
+            if unit.silent(now) {
+                if !unit.core.halted() {
+                    wake = wake.min(unit.core.stall_until());
+                }
+                continue;
+            }
+            all_silent = false;
+            let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
+            let r = unit.burst_cycle(
+                now,
+                self.cfg,
+                self.text,
+                self.blocks,
+                self.mem,
+                self.arb,
+                self.dma,
+                self.tracer,
+                self.profiler,
+            );
+            self.halted += usize::from(!was_halted && unit.core.halted());
+            self.waiting += usize::from(!was_waiting && unit.core.barrier_waiting());
+            progressed |= r?;
+        }
+        let mut dma_accesses = 0;
+        if !self.dma.idle() {
+            all_silent = false;
+            let dma_beats_before = self.dma.beats();
+            dma_accesses = self.dma.step(self.mem, self.arb)?;
+            *self.tcdm_dma_accesses += u64::from(dma_accesses);
+            progressed |= self.dma.beats() != dma_beats_before;
+        }
+        // A paused tracer never records: skip the conflict bookkeeping.
+        if let Some(t) = self.tracer.as_mut().filter(|t| t.is_recording()) {
+            let conflicts = self.arb.conflicts();
+            trace_shared_units(t, now, dma_accesses, conflicts - self.conflicts_seen);
+            self.conflicts_seen = conflicts;
+        }
+        self.waiting = release_barrier(self.units, self.tracer, now, self.waiting, self.halted);
+        Ok((progressed, (all_silent && self.waiting == 0).then_some(wake)))
     }
 }
 

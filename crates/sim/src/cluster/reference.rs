@@ -9,8 +9,8 @@
 //! elapsed cycle is one call of [`step_units`](Cluster::step_units).
 
 use super::{
-    release_barrier, trace_shared_units, Charge, Cluster, CoreUnit, EventKind, RunError, SimFault,
-    Ssr, TcdmPort, DEADLOCK_WINDOW,
+    release_barrier, stuck_pc, trace_shared_units, Charge, Cluster, CoreUnit, EventKind, RunError,
+    SimFault, Ssr, TcdmPort, DEADLOCK_WINDOW,
 };
 
 impl Cluster {
@@ -36,7 +36,7 @@ impl Cluster {
             if self.step_units()? {
                 self.last_progress_cycle = self.cycle;
             } else if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
+                return Err(RunError::Deadlock { cycle: self.cycle, pc: stuck_pc(&self.units) });
             }
         }
         // Let in-flight FP work retire so post-run register/memory reads are
@@ -45,7 +45,7 @@ impl Cluster {
         while !self.units.iter().all(|u| u.drained(self.cycle)) {
             self.step_units()?;
             if self.cycle - drain_start > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
+                return Err(RunError::Deadlock { cycle: self.cycle, pc: stuck_pc(&self.units) });
             }
         }
         Ok(true)
