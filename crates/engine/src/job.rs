@@ -233,6 +233,19 @@ pub fn smoke() -> Vec<JobSpec> {
     jobs
 }
 
+/// The multicore smoke batch: the tiled and the data-parallel kernel on one
+/// 8-core cluster at their smoke points, both variants (4 jobs; the
+/// `multicore` line of `BENCH_sim.json`).
+#[must_use]
+pub fn multicore() -> Vec<JobSpec> {
+    let config = ClusterConfig { cores: 8, ..ClusterConfig::default() };
+    let jobs = [Kernel::GemmTiled, Kernel::PiLcgPar].into_iter().flat_map(|kernel| {
+        let (n, block) = kernel.smoke_point();
+        Variant::all().into_iter().map(move |variant| JobSpec::new(kernel, variant, n, block))
+    });
+    jobs.map(|job| job.with_config(config.clone())).collect()
+}
+
 /// Replicates one job across many configurations (ablations). The compiled
 /// program is shared by all replicas through the program cache. Accepts
 /// slices of [`ClusterConfig`] or [`SystemConfig`].

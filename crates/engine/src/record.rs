@@ -2,6 +2,7 @@
 
 use snitch_kernels::harness::RunOutcome;
 use snitch_sim::stats::Stats;
+use snitch_trace::json::escape;
 use snitch_trace::TraceEvent;
 
 use crate::job::JobSpec;
@@ -48,14 +49,9 @@ pub struct RunRecord {
     /// Cycles the simulator spent on its block-compiled burst path (host
     /// observability, see `Cluster::block_replayed_cycles`). Like `trace`,
     /// never serialized: it describes the simulator run, not the simulated
-    /// machine, and would break byte-identical sweep output across hosts.
+    /// machine. Kept for the benchmark's layer pass
+    /// (`perfbench/src/layers.rs`), which sets and reads it.
     pub block_replayed_cycles: u64,
-    /// Cycles summed over the system's clusters (host observability, set
-    /// alongside `block_replayed_cycles`, which is a per-cluster sum too).
-    /// `cycles` is the maximum over clusters — the system's elapsed time —
-    /// so on a multi-cluster system this is the denominator of the burst
-    /// engagement, not `cycles`. Never serialized.
-    pub cluster_cycles: u64,
     /// Static-verifier findings for the job's program (shared across every
     /// job built from the same cached program). Like `trace`, never
     /// serialized into the line sinks — render with `snitch_verify::report`.
@@ -81,7 +77,6 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
-            cluster_cycles: 0,
             diagnostics: std::sync::Arc::new(Vec::new()),
         }
     }
@@ -118,7 +113,6 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
-            cluster_cycles: 0,
             diagnostics: std::sync::Arc::new(Vec::new()),
         }
     }
@@ -147,15 +141,15 @@ impl RunRecord {
         let _ = write!(
             s,
             "{{\"kernel\":{},\"variant\":{},\"n\":{},\"block\":{},\"config\":\"{:016x}\",\"ok\":{}",
-            json_str(self.job.kernel.name()),
-            json_str(self.job.variant.name()),
+            escape(self.job.kernel.name()),
+            escape(self.job.variant.name()),
             self.job.n,
             self.job.block,
             self.config_fingerprint,
             self.ok,
         );
         if let Some(e) = &self.error {
-            let _ = write!(s, ",\"error\":{}", json_str(e));
+            let _ = write!(s, ",\"error\":{}", escape(e));
         }
         let _ = write!(
             s,
@@ -215,38 +209,10 @@ impl RunRecord {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use snitch_kernels::registry::{Kernel, Variant};
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
-    }
 
     #[test]
     fn failure_record_serializes_with_error() {

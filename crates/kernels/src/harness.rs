@@ -1,12 +1,10 @@
-//! Run-and-validate harness: executes kernel programs on the simulator,
-//! checks results bit-exactly against the golden models, and measures
-//! steady-state metrics by differencing two problem sizes (which cancels
-//! setup, prologue and epilogue contributions — the paper's "steady-state
-//! iteration" measurements).
+//! Run-and-validate harness: the outcome and error of a validated kernel
+//! run (`Kernel::run_loaded` executes it), the bit-exact comparison against
+//! the golden models, and steady-state metrics by differencing two problem
+//! sizes (which cancels setup, prologue and epilogue contributions — the
+//! paper's "steady-state iteration" measurements).
 
-use snitch_asm::program::Program;
 use snitch_energy::EnergyModel;
-use snitch_sim::config::SystemConfig;
 use snitch_sim::error::RunError;
 use snitch_sim::stats::Stats;
 use snitch_sim::system::System;
@@ -59,51 +57,6 @@ impl From<RunError> for HarnessError {
     fn from(e: RunError) -> Self {
         HarnessError::Run(e)
     }
-}
-
-/// Runs `program` to completion and returns the system for inspection.
-/// Accepts a [`ClusterConfig`](snitch_sim::config::ClusterConfig) too (a
-/// single-cluster system) via `Into`.
-///
-/// # Errors
-///
-/// Returns [`HarnessError::Run`] if the simulation faults, deadlocks or
-/// times out.
-pub fn run_program(
-    program: &Program,
-    cfg: impl Into<SystemConfig>,
-) -> Result<(System, Stats), HarnessError> {
-    let mut system = System::new(cfg.into());
-    system.load_program(program);
-    let stats = system.run()?;
-    Ok((system, stats))
-}
-
-/// Runs and validates a program whose outputs are `(symbol, golden bits)`
-/// arrays of 64-bit values.
-///
-/// # Errors
-///
-/// Returns [`HarnessError`] on simulation failure or any bit mismatch.
-pub fn run_validated(
-    program: &Program,
-    cfg: impl Into<SystemConfig>,
-    expected: &[(&str, Vec<u64>)],
-) -> Result<RunOutcome, HarnessError> {
-    let (system, stats) = run_program(program, cfg)?;
-    for (symbol, golden) in expected {
-        let base = program
-            .symbol(symbol)
-            .unwrap_or_else(|| panic!("program lacks output symbol `{symbol}`"));
-        check_words(&system, base, golden, symbol)?;
-    }
-    let report = EnergyModel::gf12lp().report(&stats);
-    Ok(RunOutcome {
-        total_cycles: stats.cycles,
-        power_mw: report.avg_power_mw,
-        energy_uj: report.energy_uj,
-        stats,
-    })
 }
 
 /// Compares `golden` 64-bit words against system memory starting at `base`
@@ -176,11 +129,12 @@ pub fn steady_state(small: &Stats, n_small: usize, large: &Stats, n_large: usize
 mod tests {
     use super::*;
     use snitch_asm::builder::ProgramBuilder;
+    use snitch_asm::program::Program;
     use snitch_riscv::reg::IntReg;
-    use snitch_sim::config::ClusterConfig;
+    use snitch_sim::config::SystemConfig;
 
-    #[test]
-    fn validation_catches_wrong_output() {
+    /// Runs a program that stores 41 to its `out` word.
+    fn stored_41() -> (Program, System) {
         let mut b = ProgramBuilder::new();
         let out = b.tcdm_reserve("out", 8, 8);
         b.li_u(IntReg::A0, out);
@@ -188,12 +142,20 @@ mod tests {
         b.sw(IntReg::A1, IntReg::A0, 0);
         b.ecall();
         let p = b.build().unwrap();
-        let err = run_validated(&p, ClusterConfig::default(), &[("out", vec![42u64])])
-            .expect_err("must detect mismatch");
+        let mut system = System::new(SystemConfig::default());
+        system.load_program(&p);
+        system.run().expect("program completes");
+        (p, system)
+    }
+
+    #[test]
+    fn validation_catches_wrong_output() {
+        let (p, system) = stored_41();
+        let out = p.symbol("out").unwrap();
+        let err = check_words(&system, out, &[42], "out").expect_err("must detect mismatch");
         match err {
-            HarnessError::Mismatch { got, want, .. } => {
-                assert_eq!(got, 41);
-                assert_eq!(want, 42);
+            HarnessError::Mismatch { what, index, got, want } => {
+                assert_eq!((what.as_str(), index, got, want), ("out", 0, 41, 42));
             }
             other @ HarnessError::Run(_) => panic!("unexpected error {other}"),
         }
@@ -201,15 +163,7 @@ mod tests {
 
     #[test]
     fn validation_accepts_correct_output() {
-        let mut b = ProgramBuilder::new();
-        let out = b.tcdm_reserve("out", 8, 8);
-        b.li_u(IntReg::A0, out);
-        b.li(IntReg::A1, 42);
-        b.sw(IntReg::A1, IntReg::A0, 0);
-        b.ecall();
-        let p = b.build().unwrap();
-        let r = run_validated(&p, ClusterConfig::default(), &[("out", vec![42u64])]).unwrap();
-        assert!(r.total_cycles > 0);
-        assert!(r.power_mw > 0.0);
+        let (p, system) = stored_41();
+        check_words(&system, p.symbol("out").unwrap(), &[41], "out").expect("output matches");
     }
 }

@@ -693,53 +693,14 @@ impl Kernel {
     ) -> Result<RunOutcome, HarnessError> {
         let cfg = cfg.into();
         let program = self.build_grid(variant, n, block, cfg.cluster.cores, cfg.clusters);
-        self.run_prebuilt(variant, n, cfg, &program)
-    }
-
-    /// Runs a pre-assembled program (e.g. one served by `snitch-engine`'s
-    /// program cache) on a fresh system. A pure function of its arguments —
-    /// safe to call concurrently from worker threads sharing the `Program`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError`] on simulation failure or golden mismatch.
-    pub fn run_prebuilt(
-        self,
-        variant: Variant,
-        n: usize,
-        cfg: impl Into<SystemConfig>,
-        program: &Program,
-    ) -> Result<RunOutcome, HarnessError> {
         // A fresh system needs no reset.
-        self.run_loaded(&mut System::new(cfg.into()), variant, n, program)
-    }
-
-    /// Runs a pre-assembled program on an existing system, resetting it
-    /// first so allocations are reused across a stream of jobs. The system's
-    /// configuration must describe the intended experiment; `program` must be
-    /// the result of [`build_grid`](Self::build_grid) with the same `variant`
-    /// and `n` (the block size is baked into the program and its output
-    /// symbols).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError`] on simulation failure or golden mismatch.
-    pub fn run_on(
-        self,
-        system: &mut System,
-        variant: Variant,
-        n: usize,
-        program: &Program,
-    ) -> Result<RunOutcome, HarnessError> {
-        system.reset();
-        self.run_loaded(system, variant, n, program)
+        self.run_loaded(&mut System::new(cfg), variant, n, &program)
     }
 
     /// Runs on a system known to be in its just-constructed (or freshly
-    /// [`reset`](System::reset)) state: load, run, validate, report.
-    /// [`run_on`](Self::run_on) is this plus the reset; callers that time
-    /// the reset separately (the engine's telemetry) call the two halves
-    /// themselves.
+    /// [`reset`](System::reset)) state: load, run, validate, report. The
+    /// engine calls it on a system it resets between jobs, timing the reset
+    /// on its own.
     ///
     /// # Errors
     ///
@@ -886,7 +847,7 @@ mod tests {
         let mut cluster = Cluster::new(cfg);
         cluster.load_program(&program);
         let stats = cluster.run().expect("8-core run completes");
-        // Bit-exact aggregate (run_prebuilt would also validate; assert the
+        // Bit-exact aggregate (run_with would also validate; assert the
         // raw memory word explicitly here).
         let result = cluster.mem().read(program.symbol("result").unwrap(), 8).unwrap();
         let golden = crate::golden::mc_hits(Integrand::Pi, Rng::Lcg, n);
@@ -978,16 +939,17 @@ mod tests {
         let (n, block) = (64, 16);
         let program = Kernel::PolyLcg.build(Variant::Copift, n, block);
         let fresh = Kernel::PolyLcg
-            .run_prebuilt(Variant::Copift, n, ClusterConfig::default(), &program)
+            .run_loaded(&mut System::new(SystemConfig::default()), Variant::Copift, n, &program)
             .expect("fresh run validates");
         let mut system = System::new(SystemConfig::default());
         // Dirty the system with an unrelated kernel first.
         let other = Kernel::PiLcg.build(Variant::Baseline, 64, 0);
         Kernel::PiLcg
-            .run_on(&mut system, Variant::Baseline, 64, &other)
+            .run_loaded(&mut system, Variant::Baseline, 64, &other)
             .expect("warm-up run validates");
+        system.reset();
         let reused = Kernel::PolyLcg
-            .run_on(&mut system, Variant::Copift, n, &program)
+            .run_loaded(&mut system, Variant::Copift, n, &program)
             .expect("reused run validates");
         assert_eq!(fresh.stats, reused.stats, "reuse must not perturb timing");
     }

@@ -554,6 +554,7 @@ impl System {
     }
 
     /// Cycles executed inside block-compiled bursts, summed over clusters.
+    /// Kept for the benchmark's layer pass (`perfbench/src/layers.rs`).
     #[must_use]
     pub fn block_replayed_cycles(&self) -> u64 {
         self.clusters.iter().map(Cluster::block_replayed_cycles).sum()

@@ -1,5 +1,6 @@
-//! The min-of-N interleaved overhead guard shared by the CI timing gates
-//! (`bench_sim`'s paused-hook guards and `perf-report --overhead-guard`).
+//! The min-of-N interleaved overhead guard shared by `perf-report`'s
+//! paused-hook and telemetry guards, and the [`Verdict`] every one of its
+//! guards reports through.
 //!
 //! A guard compares the wall time of a *hooked* path (an attached but
 //! disabled observation hook) against the *bare* path. One round times
@@ -11,6 +12,7 @@
 //! direction, while a real hook cost (an allocation, event construction on
 //! the cold branch) is systematic and fails every round.
 
+use std::fmt;
 use std::time::Duration;
 
 /// Allowed hooked-path slowdown relative to the bare path (2%).
@@ -70,6 +72,74 @@ pub fn overhead_guard(
     Err(last.expect("at least one round"))
 }
 
+/// What a guard concluded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The bound held.
+    Held,
+    /// The bound broke: the run must fail.
+    Failed,
+    /// Nothing to compare against (no baseline, or one of another
+    /// workload); not a failure.
+    Skipped,
+}
+
+/// One guard's result, printed in one format: `<guard> guard ok: <detail>`
+/// (or `FAILED`, `skipped`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Verdict {
+    /// The guard's name, e.g. `tracing overhead`.
+    pub guard: String,
+    /// What it concluded.
+    pub outcome: Outcome,
+    /// What it measured, against which bound.
+    pub detail: String,
+}
+
+impl Verdict {
+    /// A verdict of the guard named `guard`.
+    #[must_use]
+    pub fn new(guard: &str, outcome: Outcome, detail: String) -> Self {
+        Verdict { guard: guard.to_string(), outcome, detail }
+    }
+
+    /// The verdict of one [`overhead_guard`] run.
+    #[must_use]
+    pub fn overhead(guard: &str, result: Result<Minima, Minima>) -> Self {
+        let (outcome, m) = match result {
+            Ok(m) => (Outcome::Held, m),
+            Err(m) => (Outcome::Failed, m),
+        };
+        let detail = format!(
+            "hooked {:+.2}% vs bare ({:.2}ms vs {:.2}ms, min of {REPEATS}, round {}/{ATTEMPTS}; \
+             budget {:.0}%)",
+            m.overhead_pct(),
+            m.hooked.as_secs_f64() * 1e3,
+            m.bare.as_secs_f64() * 1e3,
+            m.attempt,
+            (TOLERANCE - 1.0) * 100.0,
+        );
+        Verdict::new(guard, outcome, detail)
+    }
+
+    /// Whether the run must fail.
+    #[must_use]
+    pub fn failed(&self) -> bool {
+        self.outcome == Outcome::Failed
+    }
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let word = match self.outcome {
+            Outcome::Held => "ok",
+            Outcome::Failed => "FAILED",
+            Outcome::Skipped => "skipped",
+        };
+        write!(f, "{} guard {word}: {}", self.guard, self.detail)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +158,13 @@ mod tests {
             .expect_err("3% over a 2% budget fails");
         assert_eq!(m.attempt, ATTEMPTS);
         assert!((m.overhead_pct() - 3.0).abs() < 1e-9);
+        let verdict = Verdict::overhead("tracing overhead", Err(m));
+        assert!(verdict.failed());
+        assert_eq!(
+            verdict.to_string(),
+            "tracing overhead guard FAILED: hooked +3.00% vs bare (103.00ms vs 100.00ms, \
+             min of 5, round 3/3; budget 2%)"
+        );
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   plus a dependency-free line validator;
 //! * [`chrome`] — a Chrome trace-event export of host spans (one track per
 //!   worker, built on `snitch_trace::chrome::Doc`, loadable in Perfetto);
-//! * [`guard`] — the min-of-N interleaved overhead guard the CI timing gates
-//!   share (disabled hook vs bare path, within 2%).
+//! * [`guard`] — the min-of-N interleaved overhead guard (disabled hook vs
+//!   bare path, within 2%) and the [`guard::Verdict`] every `perf-report`
+//!   guard reports through.
 //!
 //! Telemetry is strictly host-side: it never touches `ProgramKey`,
 //! `ClusterConfig` or `RunRecord` serialization, so a sweep run under

@@ -12,11 +12,13 @@
 //!
 //! Field order is fixed and floats use shortest round-trip formatting, so
 //! metrics files diff cleanly; wall-clock derived *values* of course vary
-//! run to run. [`validate`] checks syntax and the per-metric required keys
-//! the same way `snitch_trace::chrome::validate` checks trace documents —
-//! CI runs it on every `perf-report` output.
+//! run to run. [`validate`] checks syntax (with `snitch_trace::json`, the
+//! reader `snitch_trace::chrome::validate` uses too) and the per-metric
+//! required keys — CI runs it on every `perf-report` output.
 
 use std::fmt::Write as _;
+
+use snitch_trace::json::{self, Value};
 
 use crate::span::Phase;
 use crate::timeline::Report;
@@ -84,20 +86,6 @@ pub fn render_scaling(
     )
 }
 
-/// Renders one `burst` line: the batch's block-burst engagement — the
-/// fraction of simulated cycles the simulator served on its block-compiled
-/// fast path (`Cluster::block_replayed_cycles` summed over the records).
-/// Both counts are per-cluster sums: `cycles` adds up every cluster's
-/// cycles, not the systems' elapsed (max-over-clusters) cycles.
-#[must_use]
-pub fn render_burst(workers: usize, cycles: u64, replayed_cycles: u64) -> String {
-    let engagement = if cycles == 0 { 0.0 } else { replayed_cycles as f64 / cycles as f64 };
-    format!(
-        "{{\"metric\":\"burst\",\"workers\":{workers},\"cycles\":{cycles},\
-         \"replayed_cycles\":{replayed_cycles},\"engagement\":{engagement:?}}}\n"
-    )
-}
-
 /// Required keys per metric kind (the minimal schema CI enforces).
 fn required_keys(metric: &str) -> Option<&'static [&'static str]> {
     match metric {
@@ -105,7 +93,6 @@ fn required_keys(metric: &str) -> Option<&'static [&'static str]> {
         "phase" => Some(&["workers", "phase", "ns"]),
         "worker" => Some(&["workers", "worker", "jobs", "busy_ns", "idle_ns", "barrier_ns"]),
         "scaling" => Some(&["workload", "workers_base", "workers", "ratio"]),
-        "burst" => Some(&["workers", "cycles", "replayed_cycles", "engagement"]),
         _ => None,
     }
 }
@@ -123,178 +110,20 @@ pub fn validate(contents: &str) -> Result<usize, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let keys = parse_object_keys(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let metric = keys
-            .iter()
-            .find(|(k, _)| k == "metric")
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| format!("line {}: no `metric` key", lineno + 1))?;
-        let required = required_keys(&metric)
-            .ok_or_else(|| format!("line {}: unknown metric `{metric}`", lineno + 1))?;
-        for want in required {
-            if !keys.iter().any(|(k, _)| k == want) {
-                return Err(format!("line {}: metric `{metric}` lacks key `{want}`", lineno + 1));
-            }
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
+        let object = json::parse(line).map_err(at)?;
+        let metric = object
+            .get("metric")
+            .and_then(Value::as_str)
+            .ok_or_else(|| at("no `metric` key".to_string()))?;
+        let required =
+            required_keys(metric).ok_or_else(|| at(format!("unknown metric `{metric}`")))?;
+        if let Some(want) = required.iter().find(|k| object.get(k).is_none()) {
+            return Err(at(format!("metric `{metric}` lacks key `{want}`")));
         }
         lines += 1;
     }
     Ok(lines)
-}
-
-/// Parses one JSON object, returning its top-level `(key, value-if-string)`
-/// pairs (non-string values return an empty string). Validates the full
-/// syntax of the line, nested values included.
-fn parse_object_keys(s: &str) -> Result<Vec<(String, String)>, String> {
-    let mut p = Parser { s: s.as_bytes(), i: 0 };
-    let keys = p.object()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
-    }
-    Ok(keys)
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == want => {
-                self.i += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected `{}` at offset {}, found {:?}",
-                want as char,
-                self.i,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.s.get(self.i) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.s.get(self.i) {
-                        Some(b'u') => {
-                            if self.i + 4 >= self.s.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            self.i += 5;
-                            out.push('?');
-                        }
-                        Some(&c) => {
-                            self.i += 1;
-                            out.push(c as char);
-                        }
-                        None => return Err("truncated escape".to_string()),
-                    }
-                }
-                Some(&c) => {
-                    self.i += 1;
-                    out.push(c as char);
-                }
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    /// Skips any JSON value, validating its syntax; returns the value when
-    /// it is a string.
-    fn value(&mut self) -> Result<Option<String>, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.object()?;
-                Ok(None)
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(None);
-                }
-                loop {
-                    self.value()?;
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(None);
-                        }
-                        other => return Err(format!("bad array at offset {}: {other:?}", self.i)),
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(Some),
-            Some(b't') => self.literal("true").map(|()| None),
-            Some(b'f') => self.literal("false").map(|()| None),
-            Some(b'n') => self.literal("null").map(|()| None),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                self.i += 1;
-                while self.s.get(self.i).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.i += 1;
-                }
-                Ok(None)
-            }
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.eat(b'{')?;
-        let mut keys = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(keys);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            keys.push((key, value.unwrap_or_default()));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(keys);
-                }
-                other => return Err(format!("bad object at offset {}: {other:?}", self.i)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,22 +150,13 @@ mod tests {
     fn rendered_metrics_validate() {
         let mut doc = render(1, &sample_report());
         doc.push_str(&render_scaling("smoke", 1, 14.0e6, 8, 4.9e6));
-        doc.push_str(&render_burst(1, 1000, 990));
         let lines = validate(&doc).expect("rendered metrics must validate");
-        // 1 batch + 8 phases + 1 worker + 1 scaling + 1 burst.
-        assert_eq!(lines, 12);
+        // 1 batch + 8 phases + 1 worker + 1 scaling.
+        assert_eq!(lines, 11);
         assert!(doc.contains("\"metric\":\"batch\""));
         assert!(doc.contains("\"phase\":\"simulate\",\"ns\":80"));
         assert!(doc.contains("\"barrier_ns\":"));
         assert!(doc.contains("\"ratio\":0.35"));
-        assert!(doc.contains("\"metric\":\"burst\"") && doc.contains("\"engagement\":0.99"));
-    }
-
-    #[test]
-    fn burst_line_handles_empty_batches() {
-        let line = render_burst(4, 0, 0);
-        assert!(line.contains("\"engagement\":0.0"), "no cycles means zero engagement: {line}");
-        assert_eq!(validate(&line), Ok(1));
     }
 
     #[test]

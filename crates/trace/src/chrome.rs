@@ -17,6 +17,7 @@
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, TraceEvent, CLUSTER_HART};
+use crate::json::{self, escape, Value};
 
 const TID_CORE: u8 = 0;
 const TID_FREP: u8 = 1;
@@ -255,24 +256,6 @@ fn counter_series(kind: &EventKind) -> Option<CounterSeries> {
     }
 }
 
-/// JSON string escaping for instruction disassembly and labels.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// What [`validate`] found in a well-formed trace document.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Summary {
@@ -298,235 +281,40 @@ pub struct Summary {
 ///
 /// Returns a description of the first syntax or schema violation.
 pub fn validate(json: &str) -> Result<Summary, String> {
-    let mut p = Parser { s: json.as_bytes(), i: 0 };
-    let summary = p.document()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
+    let mut summary = Summary::default();
+    let mut saw_trace_events = false;
+    let mut p = json::Parser::new(json);
+    p.object(|key, p| {
+        if key != "traceEvents" {
+            return p.value().map(drop);
+        }
+        saw_trace_events = true;
+        p.array(|p| summary.count(&p.value()?))
+    })?;
+    p.end()?;
+    if !saw_trace_events {
+        return Err("document lacks a `traceEvents` array".to_string());
     }
     Ok(summary)
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == want => {
-                self.i += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected `{}` at offset {}, found {:?}",
-                want as char,
-                self.i,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.s.get(self.i) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.s.get(self.i) {
-                        Some(b'u') => {
-                            if self.i + 4 >= self.s.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            self.i += 5;
-                            out.push('?');
-                        }
-                        Some(&c) => {
-                            self.i += 1;
-                            out.push(c as char);
-                        }
-                        None => return Err("truncated escape".to_string()),
-                    }
-                }
-                Some(&c) => {
-                    self.i += 1;
-                    out.push(c as char);
-                }
-            }
-        }
-    }
-
-    /// Skips any JSON value, validating its syntax.
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.object(|_, _| Ok(()))?;
-                Ok(())
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.value()?;
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad array at offset {}: {other:?}", self.i)),
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                self.i += 1;
-                while self.s.get(self.i).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.i += 1;
-                }
-                Ok(())
-            }
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    /// Parses an object, invoking `on_key(key, parser)` positioned at each
-    /// value; the callback must consume the value (default: `value()`).
-    fn object(
-        &mut self,
-        mut on_key: impl FnMut(&str, &mut Self) -> Result<(), String>,
-    ) -> Result<Vec<String>, String> {
-        self.eat(b'{')?;
-        let mut keys = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(keys);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let before = self.i;
-            on_key(&key, self)?;
-            if self.i == before {
-                self.value()?;
-            }
-            keys.push(key);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(keys);
-                }
-                other => return Err(format!("bad object at offset {}: {other:?}", self.i)),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<Summary, String> {
-        let mut summary = Summary::default();
-        let mut saw_trace_events = false;
-        self.object(|key, p| {
-            if key == "traceEvents" {
-                saw_trace_events = true;
-                p.eat(b'[')?;
-                if p.peek() == Some(b']') {
-                    p.i += 1;
-                    return Ok(());
-                }
-                loop {
-                    p.event(&mut summary)?;
-                    match p.peek() {
-                        Some(b',') => p.i += 1,
-                        Some(b']') => {
-                            p.i += 1;
-                            return Ok(());
-                        }
-                        other => {
-                            return Err(format!("bad traceEvents at offset {}: {other:?}", p.i))
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        if !saw_trace_events {
-            return Err("document lacks a `traceEvents` array".to_string());
-        }
-        Ok(summary)
-    }
-
-    fn event(&mut self, summary: &mut Summary) -> Result<(), String> {
-        let mut ph = String::new();
-        let keys = self.object(|key, p| {
-            if key == "ph" {
-                ph = p.string()?;
-            }
-            Ok(())
-        })?;
-        let has = |k: &str| keys.iter().any(|key| key == k);
-        let require = |wanted: &[&str]| -> Result<(), String> {
-            for k in wanted {
-                if !has(k) {
-                    return Err(format!("`{ph}` event #{} lacks key `{k}`", summary.events));
-                }
-            }
-            Ok(())
-        };
-        match ph.as_str() {
-            "X" => {
-                require(&["pid", "tid", "ts", "dur", "name"])?;
-                summary.complete += 1;
-            }
-            "C" => {
-                require(&["pid", "ts", "name", "args"])?;
-                summary.counters += 1;
-            }
-            "i" => {
-                require(&["pid", "ts", "name"])?;
-                summary.instants += 1;
-            }
-            "M" => {
-                require(&["pid", "name", "args"])?;
-                summary.metadata += 1;
-            }
+impl Summary {
+    /// Checks one event's keys against its phase and counts it.
+    fn count(&mut self, event: &Value) -> Result<(), String> {
+        let (ph, index) =
+            (event.get("ph").and_then(Value::as_str).unwrap_or_default(), self.events);
+        let (required, counter): (&[&str], _) = match ph {
+            "X" => (&["pid", "tid", "ts", "dur", "name"], &mut self.complete),
+            "C" => (&["pid", "ts", "name", "args"], &mut self.counters),
+            "i" => (&["pid", "ts", "name"], &mut self.instants),
+            "M" => (&["pid", "name", "args"], &mut self.metadata),
             other => return Err(format!("unknown event phase `{other}`")),
+        };
+        if let Some(k) = required.iter().find(|k| event.get(k).is_none()) {
+            return Err(format!("`{ph}` event #{index} lacks key `{k}`"));
         }
-        summary.events += 1;
+        *counter += 1;
+        self.events += 1;
         Ok(())
     }
 }
@@ -602,10 +390,5 @@ mod tests {
         assert!(validate("{\"traceEvents\":[{\"ph\":\"Z\",\"pid\":0}]}").is_err(), "unknown phase");
         let ok = "{\"traceEvents\":[],\"otherData\":{\"x\":[1,2,null,true,-3.5e2]}}";
         assert_eq!(validate(ok).unwrap().events, 0);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 }

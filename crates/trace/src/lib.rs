@@ -17,6 +17,8 @@
 //!   and automatic steady-state window detection for IPC extraction;
 //! * [`chrome`] — a Chrome trace-event JSON sink (loadable in Perfetto, one
 //!   track per hart lane) plus a schema validator;
+//! * [`json`] — the workspace's one JSON reader (a [`json::Value`] tree or
+//!   a member-by-member walk) and its one string escaper;
 //! * [`text`] — an annotated text trace (cycle, pc, disassembly, stall
 //!   cause) for terminals and diffs.
 //!
@@ -31,6 +33,7 @@
 
 pub mod chrome;
 pub mod event;
+pub mod json;
 pub mod profile;
 pub mod text;
 pub mod tracer;

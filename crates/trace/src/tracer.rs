@@ -7,8 +7,8 @@ use crate::event::{EventKind, TraceEvent};
 /// A cluster either carries no tracer at all (the untraced hot path: every
 /// emission site is one `Option` branch, no event is constructed, nothing
 /// allocates) or carries one of these. A *paused* tracer keeps the hook
-/// plumbed in but records nothing — the state the overhead guard in
-/// `bench_sim` measures against the untraced path.
+/// plumbed in but records nothing — the state `perf-report`'s tracing
+/// overhead guard measures against the untraced path.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     enabled: bool,
