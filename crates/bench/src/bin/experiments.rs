@@ -264,6 +264,7 @@ fn main() {
     out.push_str(GUEST_MEMORY);
     out.push_str(CONCURRENT_CLUSTERS);
     out.push_str(ONE_RUN_LOOP);
+    out.push_str(INLINED_ISSUE_CHAIN);
 
     // ---- Known deviations ----
     let _ = writeln!(
@@ -500,5 +501,96 @@ tracer is paused; it touches only runs with a paused tracer, and it
 took `bench_sim`'s hook-overhead guards from failing 2 of 5 runs (at
 least one on the tracing guard) to passing 4 of 4. The in-process
 table above was measured just before that change.
+
+";
+
+/// The fifth part of "Where the host time goes": per-kernel cost of the
+/// untraced burst before and after its integer issue chain was inlined. A
+/// committed measurement, copied through unchanged like [`HOST_TIME`].
+const INLINED_ISSUE_CHAIN: &str = "\
+### Inlined issue chain: one integer issue per burst cycle, no calls
+
+The untraced burst before and after its integer issue chain was forced
+inline into the per-hart burst cycle (DESIGN.md §15) and the L0 buffer
+and the write-back port claims became O(1) per issue (§13). Nothing
+simulated moved: every `sweep` preset's sinks, the golden fixtures and
+the `trace`/`profile` outputs are byte-identical to the parent's.
+
+Per kernel, both builds run the 24 `fig2` jobs through `System::run`,
+linked into one process on one thread and alternated job by job over 15
+rounds. Each cell is a job's fastest round in host nanoseconds per
+simulated cycle (thread CPU time; program build and load excluded), at
+the job's n and 2n; the last column counts the rounds in which the
+change was faster, over both sizes.
+
+| kernel | variant | before, ns/cycle (n / 2n) | after, ns/cycle (n / 2n) | after faster in |
+|---|---|---:|---:|---:|
+| `pi_xoshiro128p` | base | 45.6 / 45.0 | 33.0 / 31.7 | 29 of 30 |
+| `pi_xoshiro128p` | COPIFT | 55.4 / 58.6 | 39.1 / 38.6 | 27 of 30 |
+| `poly_xoshiro128p` | base | 45.7 / 47.1 | 36.7 / 34.3 | 27 of 30 |
+| `poly_xoshiro128p` | COPIFT | 63.2 / 63.1 | 43.8 / 44.6 | 30 of 30 |
+| `pi_lcg` | base | 50.2 / 53.2 | 40.3 / 43.0 | 28 of 30 |
+| `pi_lcg` | COPIFT | 73.3 / 75.1 | 61.1 / 64.0 | 28 of 30 |
+| `poly_lcg` | base | 55.3 / 54.3 | 43.6 / 43.7 | 28 of 30 |
+| `poly_lcg` | COPIFT | 78.7 / 79.9 | 68.0 / 69.5 | 26 of 30 |
+| `log` | base | 54.3 / 54.0 | 43.5 / 44.1 | 28 of 30 |
+| `log` | COPIFT | 75.2 / 71.9 | 60.4 / 58.0 | 25 of 30 |
+| `exp` | base | 57.3 / 56.0 | 48.8 / 49.0 | 26 of 30 |
+| `exp` | COPIFT | 102.9 / 107.5 | 90.6 / 92.6 | 28 of 30 |
+
+Over the batch, 57.1 → 43.5 ns per simulated cycle (1.31×). The
+integer-bound xoshiro kernels gain most (1.24–1.52×), and `exp` COPIFT,
+whose cycles go mostly to the FP subsystem's sequencer, least (1.14–1.16×).
+The L0 stamps and the write-back ring without the forced inlining
+measured 1.17× and 1.18× over the batch in two such 15-round runs; the
+inlining gives the rest. A SIGPROF sample of `fig2` afterwards (5,911
+samples) shows no function above 12%: `Fpss::try_issue`, `Fpss::step`
+and `Fpss::offload` together hold 28%. Force-inlining `Fpss::offload` as
+well read 1.04× over the batch in one 10-round run and 0.97–1.07× per
+job (one outlier aside) in a second, so the FP subsystem stays out of
+line.
+
+The benchmark (`perfbench`, 10 pairs at the benchmark's 50 s,
+alternating which side runs first; median [quartiles]):
+
+| workload | metric | before | after | after better in |
+|---|---|---:|---:|---:|
+| `fig2` | `sim_mcycles_per_s` | 19.60 [19.18–19.91] | 25.20 [23.78–26.32] | 10 of 10 |
+| `fig2` | `wall_s` | 0.226 [0.222–0.230] | 0.175 [0.168–0.186] | 10 of 10 |
+| `scaling-grid` | `sim_mcycles_per_s` | 10.20 [9.69–11.80] | 12.58 [11.63–13.09] | 8 of 10 |
+| `scaling-grid` | `wall_s` | 1.832 [1.583–1.926] | 1.484 [1.426–1.604] | 8 of 10 |
+
+On `fig2` the change won every pair and its median throughput is 1.29×
+the parent's, far outside the parent's quartiles. On `scaling-grid` the
+host was busier (its parent runs spread 22% between quartiles), so the
+gain there is not resolved, but no run of the change was slower than
+the parent's median. `setup_s` read 0.78 → 0.82 ms (`fig2`) and 3.12 →
+3.28 ms (`scaling-grid`) and `peak_rss_mb` 1.148 → 1.160 and 6.46 →
+6.50 MiB, all inside their bounds; fingerprints, every `model.*`
+counter, the paper MAPEs and `job_ok_ratio` are identical.
+
+Traced runs share the inlined path. In `System::run` (as above, two
+runs of 8 rounds) traced `fig2` went from 84.5 and 74.2 to 69.4 and 62.2
+ns per simulated cycle (1.22× and 1.19×), less than the untraced path
+gained, so traced ÷ untraced rose from 1.37 to 1.49, just inside the
+1.5× target. Through `Engine::new(1)` (both
+builds in one process, alternating the order; two sets of 16 rounds,
+median [quartiles]):
+
+| `fig2` through the engine | before | after | after better in |
+|---|---:|---:|---:|
+| untraced, first set | 0.460 s [0.428–0.471] | 0.357 s [0.326–0.396] | 15 of 16 |
+| `.traced()`, first set | 0.821 s [0.765–0.836] | 0.635 s [0.576–0.660] | 14 of 16 |
+| traced ÷ untraced per round, first set | 1.81 [1.64–2.13] | 1.70 [1.51–2.00] | |
+| untraced, second set | 0.472 s [0.405–0.483] | 0.373 s [0.344–0.388] | 14 of 16 |
+| `.traced()`, second set | 0.583 s [0.567–0.630] | 0.490 s [0.427–0.503] | 16 of 16 |
+| traced ÷ untraced per round, second set | 1.33 [1.18–1.52] | 1.32 [1.19–1.40] | |
+
+The engine now moves each traced job's events out of the tracer
+instead of copying them. The host ran slowly through both sets
+(untraced passes took twice their perfbench time), and the traced ÷
+untraced ratio moved between sets far more than between builds, so
+whether the end-to-end cost of tracing now meets the 1.5× target is
+not resolved here: it read 1.70 in one set and 1.32 in the other.
 
 ";

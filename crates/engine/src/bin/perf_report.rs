@@ -16,9 +16,10 @@
 //!   verification are paid) and runs with telemetry on. It feeds the phase
 //!   report, the `batch`/`phase`/`worker` lines of `METRICS.json`, the
 //!   scaling diagnosis and the verify guard, and warms the engine;
-//! * every throughput comes from **warm** passes with telemetry off, the
-//!   fastest of [`WARM_PASSES`]. A multi-worker pool interleaves its passes
-//!   with 1-worker ones, so host drift hits both. That ratio is the
+//! * every throughput comes from **warm** passes with telemetry off,
+//!   repeated until they span [`WARM_WINDOW`], keeping the fastest. A
+//!   multi-worker pool interleaves its passes with 1-worker ones, so host
+//!   drift hits both. That ratio is the
 //!   `scaling_vs_workers1` of `BENCH_sim.json` and the `scaling` line of
 //!   `METRICS.json`.
 //!
@@ -66,9 +67,12 @@ Options:
 /// The committed-baseline file, read and rewritten in the current directory.
 const BENCH_FILE: &str = "BENCH_sim.json";
 
-/// Timed warm passes per throughput; each keeps its fastest. On a noisy
-/// host a single window over- or under-states throughput by tens of percent.
-const WARM_PASSES: usize = 3;
+/// Wall time the warm passes of one throughput span at least; each
+/// throughput keeps its fastest pass. A smoke pass takes tens of
+/// milliseconds, and on a shared host a few such passes can all land in one
+/// contended stretch, reading tens of percent slow: the window holds enough
+/// passes that one of them runs clear.
+const WARM_WINDOW: Duration = Duration::from_secs(1);
 
 /// Allowed single-worker slowdown relative to the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.80;
@@ -211,13 +215,23 @@ fn warm_pass(engine: &Engine, workload: &'static str, jobs: &[JobSpec]) -> Warm 
     }
 }
 
-/// The fastest of [`WARM_PASSES`] warm passes, or of the given ones.
+/// The fastest of the given warm passes.
 fn fastest(passes: Vec<Warm>) -> Warm {
     passes.into_iter().min_by(|a, b| a.wall.total_cmp(&b.wall)).expect("at least one pass")
 }
 
+/// Calls `pass` until the calls span [`WARM_WINDOW`] (at least once).
+fn over_window<T>(mut pass: impl FnMut() -> T) -> Vec<T> {
+    let t0 = Instant::now();
+    let mut out = vec![pass()];
+    while t0.elapsed() < WARM_WINDOW {
+        out.push(pass());
+    }
+    out
+}
+
 fn warm_passes(engine: &Engine, workload: &'static str, jobs: &[JobSpec]) -> Vec<Warm> {
-    (0..WARM_PASSES).map(|_| warm_pass(engine, workload, jobs)).collect()
+    over_window(|| warm_pass(engine, workload, jobs))
 }
 
 /// One measured pool.
@@ -508,9 +522,11 @@ fn run(args: &Args) -> Result<(), ExitCode> {
     for &size in &sizes[1..] {
         let engine = Engine::new(size);
         let cold = cold_pass(&engine, &jobs);
-        let (warm, warm1): (Vec<_>, Vec<_>) = (0..WARM_PASSES)
-            .map(|_| (warm_pass(&engine, "smoke", &jobs), warm_pass(&engine1, "smoke", &jobs)))
-            .unzip();
+        let (warm, warm1): (Vec<_>, Vec<_>) = over_window(|| {
+            (warm_pass(&engine, "smoke", &jobs), warm_pass(&engine1, "smoke", &jobs))
+        })
+        .into_iter()
+        .unzip();
         let (warm, warm1) = (fastest(warm), fastest(warm1));
         assert_eq!(warm.cycles, warm1.cycles, "simulated cycles must not depend on the pool");
         pools.push(Pool { cold, warm, base_cps: warm1.cps() });
@@ -520,8 +536,9 @@ fn run(args: &Args) -> Result<(), ExitCode> {
         println!("=== {} worker(s), cold pass with telemetry ===", p.cold.workers);
         print!("{}", p.cold.report.render_text());
         println!(
-            "warm throughput (telemetry off, fastest of {WARM_PASSES}): {:.2}M simulated \
+            "warm throughput (telemetry off, fastest pass of {:.1}s): {:.2}M simulated \
              cycles/s, {:.2}x the 1-worker pool\n",
+            WARM_WINDOW.as_secs_f64(),
             p.warm.cps() / 1e6,
             p.scaling(),
         );

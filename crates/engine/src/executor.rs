@@ -12,6 +12,7 @@ use std::sync::OnceLock;
 
 use snitch_sim::system::{occupy_host_thread, System};
 use snitch_telemetry::{Phase, Telemetry, MAIN_WORKER};
+use snitch_trace::Tracer;
 
 use crate::cache::ProgramCache;
 use crate::job::JobSpec;
@@ -191,15 +192,17 @@ impl Engine {
             Ok(outcome) => {
                 let mut record = RunRecord::success(job.clone(), &outcome);
                 record.block_replayed_cycles = system.block_replayed_cycles();
+                // The reset just above ran before the load, so the attached
+                // tracer and profiler hold exactly this job's data. They are
+                // moved out, not copied: the next job's reset attaches fresh
+                // ones.
                 if job.trace() {
-                    // The reset just above ran before the load, so the
-                    // attached tracer holds exactly this job's events.
-                    let events = system.trace_events().unwrap_or_default().to_vec();
-                    record = record.with_trace(events);
+                    let events = system.take_tracer().map(Tracer::into_events);
+                    record = record.with_trace(events.unwrap_or_default());
                 }
                 if job.profile() {
-                    if let Some(profile) = system.profile() {
-                        record = record.with_profile(profile.clone());
+                    if let Some(profile) = system.take_profiler() {
+                        record = record.with_profile(profile);
                     }
                 }
                 record

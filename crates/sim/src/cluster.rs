@@ -81,7 +81,7 @@ struct CoreUnit {
 impl CoreUnit {
     fn new(hart: u32, cfg: &ClusterConfig) -> Self {
         CoreUnit {
-            core: IntCore::new(hart),
+            core: IntCore::new(hart, cfg),
             fpss: Fpss::new(cfg),
             ssrs: [
                 Ssr::new(cfg.ssr_fifo_depth),

@@ -26,7 +26,8 @@ pub struct ClusterConfig {
     pub main_mem_extra_latency: u32,
     /// Integer multiply write-back latency. With a single RF write port this
     /// is the source of the structural hazards the paper blames for the LCG
-    /// kernels' residual stalls.
+    /// kernels' residual stalls. At most
+    /// [`MAX_INT_LATENCY`](crate::core::MAX_INT_LATENCY), like `div_latency`.
     pub mul_latency: u32,
     /// Integer divide latency (non-pipelined).
     pub div_latency: u32,

@@ -38,6 +38,10 @@ use snitch_asm::layout;
 /// Sentinel `ready_at` for a register awaiting an FP→int write-back.
 const PENDING_FP: u64 = u64::MAX;
 
+/// The largest `mul_latency`/`div_latency` a core accepts: the write-back
+/// claim ring spans the longest latency, so this bounds its size.
+pub const MAX_INT_LATENCY: u32 = 1 << 16;
+
 /// A pre-decoded instruction with the integer-side metadata the issue stage
 /// needs every cycle.
 #[derive(Clone, Copy, Debug)]
@@ -108,16 +112,30 @@ pub struct IntCore {
     regs: [u32; 32],
     ready_at: [u64; 32],
     stall_until: u64,
-    /// Claimed ALU/mul write-back port slots: (cycle, claims).
-    wb_claims: Vec<(u64, u32)>,
+    /// Claimed ALU/mul write-back port slots, `(cycle, claims)` at slot
+    /// `cycle & (len - 1)`. Every live claim lies in `now..=now + latency`
+    /// and the ring is longer than the longest latency, so live claims
+    /// never share a slot; a slot tagged with another cycle holds a past
+    /// claim, which no later query can match.
+    wb_claims: Box<[(u64, u32)]>,
     halted: bool,
     barrier: BarrierState,
 }
 
 impl IntCore {
-    /// Creates core `hart_id` with `pc` at the text base.
+    /// Creates core `hart_id` with `pc` at the text base, its write-back
+    /// claim ring sized for `cfg`'s mul/div latencies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either latency exceeds [`MAX_INT_LATENCY`].
     #[must_use]
-    pub fn new(hart_id: u32) -> Self {
+    pub fn new(hart_id: u32, cfg: &ClusterConfig) -> Self {
+        let latency = cfg.mul_latency.max(cfg.div_latency);
+        assert!(
+            latency <= MAX_INT_LATENCY,
+            "integer mul/div latency {latency} above the supported {MAX_INT_LATENCY} cycles"
+        );
         IntCore {
             hart_id,
             cluster_id: 0,
@@ -125,7 +143,7 @@ impl IntCore {
             regs: [0; 32],
             ready_at: [0; 32],
             stall_until: 0,
-            wb_claims: Vec::with_capacity(8),
+            wb_claims: vec![(u64::MAX, 0); (latency as usize + 1).next_power_of_two()].into(),
             halted: false,
             barrier: BarrierState::Idle,
         }
@@ -145,14 +163,14 @@ impl IntCore {
 
     /// Restores boot state (pc at the text base, zeroed registers and
     /// scoreboard, no stalls, not halted), reusing the write-back claim
-    /// buffer — the allocation-free equivalent of `IntCore::new(hart_id)`.
+    /// ring — the allocation-free equivalent of `IntCore::new(hart_id, cfg)`.
     pub fn reset(&mut self, hart_id: u32) {
         self.hart_id = hart_id;
         self.pc = layout::TEXT_BASE;
         self.regs = [0; 32];
         self.ready_at = [0; 32];
         self.stall_until = 0;
-        self.wb_claims.clear();
+        self.wb_claims.fill((u64::MAX, 0));
         self.halted = false;
         self.barrier = BarrierState::Idle;
     }
@@ -212,22 +230,34 @@ impl IntCore {
         }
     }
 
-    fn can_claim_wb(&self, cycle: u64, ports: u32) -> bool {
-        self.wb_claims.iter().find(|&&(c, _)| c == cycle).is_none_or(|&(_, n)| n < ports)
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn wb_slot(&self, cycle: u64) -> usize {
+        cycle as usize & (self.wb_claims.len() - 1)
     }
 
-    /// Claims a write-back port slot at `cycle`. Claims for cycles before
-    /// `now` can never match a later query (write-backs land after issue),
-    /// so they are pruned here, when a new cycle's entry is added.
-    fn claim_wb(&mut self, cycle: u64, now: u64) {
-        if let Some(e) = self.wb_claims.iter_mut().find(|e| e.0 == cycle) {
-            e.1 += 1;
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn can_claim_wb(&self, cycle: u64, ports: u32) -> bool {
+        let (c, n) = self.wb_claims[self.wb_slot(cycle)];
+        c != cycle || n < ports
+    }
+
+    /// Claims a write-back port slot at `cycle`, overwriting the past claim
+    /// the slot may hold.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn claim_wb(&mut self, cycle: u64) {
+        let slot = &mut self.wb_claims[self.wb_slot(cycle)];
+        if slot.0 == cycle {
+            slot.1 += 1;
         } else {
-            self.wb_claims.retain(|&(c, _)| c >= now);
-            self.wb_claims.push((cycle, 1));
+            *slot = (cycle, 1);
         }
     }
 
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn write_reg(&mut self, rd: u8, value: u32, ready_at: u64) {
         if rd != 0 {
             self.regs[usize::from(rd)] = value;
@@ -238,6 +268,8 @@ impl IntCore {
     /// Scoreboard check in issue order (sources, then the destination; index
     /// 0 is x0, whose slot is always ready): books the first hazard's stall
     /// and returns whether the issue must wait.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn operand_hazard(
         &self,
         now: u64,
@@ -461,7 +493,8 @@ impl IntCore {
     /// Issues an ALU-like operation writing register `rd` with `latency` on
     /// the shared write-back port. Returns false (and books a stall) if the
     /// port is already claimed for the write-back cycle.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
     fn issue_alu_like(
         &mut self,
         now: u64,
@@ -479,7 +512,7 @@ impl IntCore {
                 charge.stall(now, self.pc, StallCause::WbPort, 1);
                 return false;
             }
-            self.claim_wb(wb_cycle, now);
+            self.claim_wb(wb_cycle);
         }
         self.write_reg(rd, value, wb_cycle);
         self.fetched(now, Lane::Int, inst, l0, charge);
@@ -489,7 +522,8 @@ impl IntCore {
     /// `jal`/`jalr`: the link write on the shared port, then the redirect to
     /// `target` (computed by the caller from the pre-issue registers, since
     /// `rd` may alias `rs1`).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
     fn jump(
         &mut self,
         now: u64,
@@ -508,6 +542,8 @@ impl IntCore {
 
     /// A conditional branch that has issued: redirects to `taken` or falls
     /// through.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn branch(
         &mut self,
         now: u64,
@@ -526,6 +562,8 @@ impl IntCore {
 
     /// Taken-branch/jump tail: books the refill window against the branch's
     /// own pc (its first lost cycle is the next one), then moves the pc.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn redirect(&mut self, now: u64, cfg: &ClusterConfig, target: u32, charge: &mut Charge<'_>) {
         charge.stall(now + 1, self.pc, StallCause::Branch, cfg.branch_penalty);
         self.pc = target;
@@ -535,6 +573,8 @@ impl IntCore {
     /// Routes a core LSU access to `addr`: arbitrates a TCDM bank and counts
     /// the access against its memory level. Returns the latency beyond the
     /// TCDM load latency, or `None` when the bank grant was lost this cycle.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn lsu_access(
         &self,
         addr: u32,
@@ -561,6 +601,8 @@ impl IntCore {
     /// Fetch-path accounting; called exactly once per issued instruction
     /// (`self.pc` still addresses it — the advance happens afterwards), so
     /// it is the core slot's single issue-booking site.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     fn fetched(
         &mut self,
         now: u64,
@@ -584,12 +626,6 @@ fn load_value(op: LoadOp, raw: u64) -> u32 {
         LoadOp::Lb => (raw as i8) as i32 as u32,
         LoadOp::Lh => (raw as i16) as i32 as u32,
         _ => raw as u32,
-    }
-}
-
-impl Default for IntCore {
-    fn default() -> Self {
-        IntCore::new(0)
     }
 }
 
@@ -687,8 +723,12 @@ impl IntCore {
 /// stepper, which issues through `step` alone.
 impl IntCore {
     /// One issue attempt on the fast path. Callers guarantee the core is
-    /// not halted and not inside a `stall_until` window.
-    #[allow(clippy::too_many_arguments)]
+    /// not halted and not inside a `stall_until` window. Forced inline, with
+    /// every helper it issues through, into the burst's per-hart cycle: left
+    /// to the compiler, the chain stays a run of out-of-line calls per
+    /// simulated cycle.
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
     pub(crate) fn step_block(
         &mut self,
         now: u64,
@@ -874,12 +914,88 @@ mod tests {
 
     #[test]
     fn wb_port_claims() {
-        let mut c = IntCore::new(0);
+        let mut c = IntCore::new(0, &ClusterConfig::default());
         assert!(c.can_claim_wb(5, 1));
-        c.claim_wb(5, 0);
+        c.claim_wb(5);
         assert!(!c.can_claim_wb(5, 1));
         assert!(c.can_claim_wb(5, 2));
         assert!(c.can_claim_wb(6, 1));
+        c.reset(0);
+        assert!(c.can_claim_wb(5, 1), "reset drops every claim");
+    }
+
+    /// The claim ring must answer every port query exactly like the plain
+    /// list of `(cycle, claims)` it replaced (find, prune the past, push),
+    /// for one and two ports and for latencies well past any fixed ring
+    /// size, across clock jumps, and again after a reset.
+    #[test]
+    fn wb_claim_ring_matches_list_model() {
+        #[derive(Default)]
+        struct List(Vec<(u64, u32)>);
+        impl List {
+            fn can_claim(&self, cycle: u64, ports: u32) -> bool {
+                self.0.iter().find(|&&(c, _)| c == cycle).is_none_or(|&(_, n)| n < ports)
+            }
+            fn claim(&mut self, cycle: u64, now: u64) {
+                if let Some(e) = self.0.iter_mut().find(|e| e.0 == cycle) {
+                    e.1 += 1;
+                } else {
+                    self.0.retain(|&(c, _)| c >= now);
+                    self.0.push((cycle, 1));
+                }
+            }
+        }
+
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (mul_latency, div_latency) in [(2, 12), (3, 100), (1, 2), (0, 5), (7, 300)] {
+            for ports in [1, 2] {
+                let cfg = ClusterConfig { mul_latency, div_latency, ..ClusterConfig::default() };
+                let mut ring = IntCore::new(0, &cfg);
+                for round in 0..2 {
+                    let mut list = List::default();
+                    let (mut now, mut denied) = (0u64, 0);
+                    for step in 0..20_000 {
+                        let latency = match next() % 8 {
+                            0..=3 => 1,
+                            4 | 5 => mul_latency,
+                            _ => div_latency,
+                        };
+                        let cycle = now + u64::from(latency);
+                        let free = list.can_claim(cycle, ports);
+                        assert_eq!(
+                            ring.can_claim_wb(cycle, ports),
+                            free,
+                            "mul {mul_latency} div {div_latency} ports {ports} round {round} \
+                             step {step}"
+                        );
+                        if free {
+                            list.claim(cycle, now);
+                            ring.claim_wb(cycle);
+                        } else {
+                            denied += 1;
+                        }
+                        // Mostly one issue attempt per cycle; sometimes a
+                        // jump, as across a branch refill or a silent skip.
+                        now += if next() % 16 == 0 { next() % 400 } else { 1 };
+                    }
+                    assert!(denied > 0, "the stream must exercise port conflicts");
+                    ring.reset(0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "above the supported")]
+    fn absurd_latencies_are_refused() {
+        let cfg = ClusterConfig { div_latency: MAX_INT_LATENCY + 1, ..ClusterConfig::default() };
+        let _ = IntCore::new(0, &cfg);
     }
 
     #[test]
