@@ -31,8 +31,6 @@
 //! * **regression** (smoke and multicore): the 1-worker cycles/s may not
 //!   drop more than 20% below the committed line of the same workload. The
 //!   comparison is refused when that line measured other jobs or cycles;
-//! * **tracing** and **profiling overhead**: a paused hook attached to the
-//!   bare cluster loop must be cycle-identical and within 2%;
 //! * **telemetry overhead**: enabled telemetry within 2% of disabled;
 //! * **verify overhead**: one cold verification pass within 5% of the cold
 //!   passes' wall time.
@@ -40,21 +38,17 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use snitch_asm::program::Program;
 use snitch_engine::{job, Engine, JobSpec};
-use snitch_profile::Profiler;
-use snitch_sim::cluster::Cluster;
-use snitch_sim::config::ClusterConfig;
 use snitch_telemetry::guard::{self, Outcome, Verdict};
 use snitch_telemetry::{chrome, metrics, Phase, Report, Telemetry, WorkerSummary};
-use snitch_trace::{json, Tracer};
+use snitch_trace::json;
 
 const USAGE: &str = "\
 usage: perf-report [OPTIONS]
 
 Times the engine on the smoke job grid per worker pool: cold-pass phase
 attribution and scaling diagnosis, warm-pass throughput, BENCH_sim.json,
-and the regression, hook-overhead, telemetry and verify guards.
+and the regression, telemetry-overhead and verify-overhead guards.
 
 Options:
   --workers LIST    worker pools to measure (default: 1,4,8; the 1-worker
@@ -76,11 +70,6 @@ const WARM_WINDOW: Duration = Duration::from_secs(1);
 
 /// Allowed single-worker slowdown relative to the committed baseline.
 const REGRESSION_TOLERANCE: f64 = 0.80;
-
-/// Passes over the batch per hook-guard measurement, so one measurement
-/// spans a few hundred milliseconds: a 2% ratio of a shorter window would
-/// gate on scheduler noise rather than on the hook's cost.
-const GUARD_PASSES: usize = 8;
 
 struct Args {
     workers: Vec<usize>,
@@ -387,50 +376,6 @@ fn diagnose(pools: &[Pool]) -> Vec<String> {
     lines
 }
 
-/// The observation hook a guard pass attaches, always paused: the worst
-/// case for the hook's branches (present, checked, never recording).
-#[derive(Clone, Copy)]
-enum Hook {
-    None,
-    Tracer,
-    Profiler,
-}
-
-/// One hook-guard measurement over the pre-built batch on a bare cluster
-/// loop (no engine, no validation), so it isolates the simulator hot path
-/// the hooks sit on. Returns (wall time, total simulated cycles).
-fn hook_pass(programs: &[Program], hook: Hook) -> (Duration, u64) {
-    let mut cluster = Cluster::new(ClusterConfig::default());
-    let mut cycles = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..GUARD_PASSES {
-        for program in programs {
-            cluster.reset();
-            match hook {
-                Hook::None => {}
-                Hook::Tracer => cluster.attach_tracer(Tracer::paused()),
-                Hook::Profiler => cluster.attach_profiler(Profiler::paused()),
-            }
-            cluster.load_program(program);
-            let stats = cluster.run().expect("smoke program completes");
-            cycles += std::hint::black_box(stats.cycles);
-        }
-    }
-    (t0.elapsed(), cycles)
-}
-
-/// A paused hook must not move the simulation by one cycle, and must stay
-/// within [`guard::TOLERANCE`] of the bare path.
-fn hook_guard(programs: &[Program], hook: Hook, name: &str) -> Verdict {
-    let (bare, hooked) = (hook_pass(programs, Hook::None).1, hook_pass(programs, hook).1);
-    if bare != hooked {
-        let detail = format!("a paused hook moved the simulation: {hooked} cycles vs {bare}");
-        return Verdict::new(name, Outcome::Failed, detail);
-    }
-    let time = |h| hook_pass(programs, h).0;
-    Verdict::overhead(name, guard::overhead_guard(|| time(Hook::None), || time(hook)))
-}
-
 /// Enabled telemetry against a disabled handle, on a warm engine.
 fn telemetry_guard(engine: &Engine, jobs: &[JobSpec]) -> Verdict {
     let time = |tel: &Telemetry| {
@@ -554,16 +499,9 @@ fn run(args: &Args) -> Result<(), ExitCode> {
     let _ = engine1.run(&multicore);
     let multicore = fastest(warm_passes(&engine1, "multicore", &multicore));
 
-    // The hook guards run the same smoke programs outside the engine.
-    let programs: Vec<Program> = jobs
-        .iter()
-        .map(|j| j.kernel.build_for(j.variant, j.n, j.block, j.config.cores()))
-        .collect();
     let verdicts = [
         regression_guard(&pools[0].warm, committed_baseline(&committed, "smoke").as_ref()),
         regression_guard(&multicore, committed_baseline(&committed, "multicore").as_ref()),
-        hook_guard(&programs, Hook::Tracer, "tracing overhead"),
-        hook_guard(&programs, Hook::Profiler, "profiling overhead"),
         telemetry_guard(&engine1, &jobs),
         verify_guard(&pools),
     ];

@@ -163,14 +163,15 @@ fn main() -> ExitCode {
                 occ.idle
             );
         }
-        let attr = profile.attribution(None);
-        let lost: u64 = attr.values().sum();
-        if lost > 0 {
+        let lost: Vec<_> = StallCause::all()
+            .into_iter()
+            .map(|cause| (cause, stats.stall_by_cause(cause)))
+            .filter(|&(_, cycles)| cycles > 0)
+            .collect();
+        if !lost.is_empty() {
             println!("lost cycles by cause:");
-            for cause in StallCause::all() {
-                if attr[&cause] > 0 {
-                    println!("  {:<14} {:>8}", cause.name(), attr[&cause]);
-                }
+            for (cause, cycles) in lost {
+                println!("  {:<14} {cycles:>8}", cause.name());
             }
         }
         // A Perfetto-screenshot-equivalent glimpse of the steady state.

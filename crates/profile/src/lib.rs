@@ -9,9 +9,8 @@
 //!
 //! * [`profiler`] — the [`Profiler`] collector the simulator charges into.
 //!   The hook follows the `Tracer` discipline: one `Option` branch when no
-//!   profiler is attached, a recording check when one is paused, and plain
-//!   array adds when live, charged from inside the simulator's block-burst
-//!   run loop like every other booking;
+//!   profiler is attached and plain array adds when one is, charged from
+//!   inside the simulator's block-burst run loop like every other booking;
 //! * [`region`] — resolves pcs to `ProgramBuilder` label spans
 //!   ([`Program::labels`]), e.g. the COPIFT codegen's standard
 //!   `prologue`/`spill`/`body`/`reduce` region labels;

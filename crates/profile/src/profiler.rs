@@ -53,39 +53,18 @@ struct HartProfile {
 /// The cycle-profile collector and result.
 ///
 /// Attach one to a cluster (`Cluster::attach_profiler`) before loading a
-/// program; the load sizes the arrays to the text section. A *paused*
-/// profiler ([`Profiler::paused`]) keeps every hook branch live but records
-/// nothing — the worst case the bench overhead guard measures.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// program; the load sizes the arrays to the text section.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Profiler {
-    recording: bool,
     text_len: usize,
     harts: Vec<HartProfile>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::new()
-    }
 }
 
 impl Profiler {
     /// A recording profiler (arrays are sized at program load).
     #[must_use]
     pub fn new() -> Self {
-        Profiler { recording: true, text_len: 0, harts: Vec::new() }
-    }
-
-    /// A profiler whose hooks run but record nothing.
-    #[must_use]
-    pub fn paused() -> Self {
-        Profiler { recording: false, ..Profiler::new() }
-    }
-
-    /// Whether charges are being recorded.
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.recording
+        Profiler::default()
     }
 
     /// Sizes (and zeroes) the histograms for `harts` harts over a text
@@ -121,9 +100,6 @@ impl Profiler {
     /// Charges one issue slot at `pc` to `hart`.
     #[inline]
     pub fn issue(&mut self, hart: usize, pc: u32, lane: Lane) {
-        if !self.recording {
-            return;
-        }
         let idx = Self::idx(pc);
         if let Some(h) = self.harts.get_mut(hart) {
             let counts = match lane {
@@ -140,9 +116,6 @@ impl Profiler {
     /// Charges `cycles` stall cycles at the blocking instruction `pc`.
     #[inline]
     pub fn stall(&mut self, hart: usize, pc: u32, cause: StallCause, cycles: u64) {
-        if !self.recording {
-            return;
-        }
         let idx = Self::idx(pc) * NUM_CAUSES + cause_index(cause);
         if let Some(c) = self.harts.get_mut(hart).and_then(|h| h.stalls.get_mut(idx)) {
             *c += cycles;
@@ -251,16 +224,6 @@ mod tests {
         assert_eq!(p.core_cycles_total(), 7);
         assert_eq!(p.dominant_stall_at(1), Some((StallCause::Branch, 4)));
         assert_eq!(p.dominant_stall_at(0), None);
-    }
-
-    #[test]
-    fn paused_profiler_records_nothing() {
-        let mut p = Profiler::paused();
-        p.size(1, 2);
-        assert!(!p.is_recording());
-        p.issue(0, BASE, Lane::Int);
-        p.stall(0, BASE, StallCause::Fence, 7);
-        assert_eq!(p.core_cycles_total(), 0);
     }
 
     #[test]

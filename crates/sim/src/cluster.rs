@@ -421,10 +421,8 @@ impl Cluster {
 
     /// Attaches an event collector (replacing any existing one). A cluster
     /// built from a [`ClusterConfig`] with `trace` set already carries a
-    /// recording tracer; this entry point exists for instrumentation that
-    /// needs explicit control (e.g. attaching a [`Tracer::paused`] collector
-    /// to measure the disabled hook's overhead). Traced or not, the run
-    /// takes the same block burst.
+    /// recording tracer; this entry point attaches one explicitly. Traced or
+    /// not, the run takes the same block burst.
     ///
     /// Note that [`reset`](Self::reset) restores the config-driven state:
     /// a fresh (empty) tracer when `cfg.trace` is set, none otherwise.
@@ -445,10 +443,8 @@ impl Cluster {
 
     /// Attaches a cycle-profile collector (replacing any existing one). A
     /// cluster built from a [`ClusterConfig`] with `profile` set already
-    /// carries a recording profiler; this entry point exists for
-    /// instrumentation that needs explicit control (e.g. attaching a
-    /// [`Profiler::paused`] collector to measure the disabled hook's
-    /// overhead). Attach *before* [`load_program`](Self::load_program),
+    /// carries a recording profiler; this entry point attaches one
+    /// explicitly. Attach *before* [`load_program`](Self::load_program),
     /// which sizes the histograms to the text section.
     ///
     /// Note that [`reset`](Self::reset) restores the config-driven state:
@@ -748,8 +744,7 @@ impl Burst<'_> {
             *self.tcdm_dma_accesses += u64::from(dma_accesses);
             progressed |= self.dma.beats() != dma_beats_before;
         }
-        // A paused tracer never records: skip the conflict bookkeeping.
-        if let Some(t) = self.tracer.as_mut().filter(|t| t.is_recording()) {
+        if let Some(t) = self.tracer.as_mut() {
             let conflicts = self.arb.conflicts();
             trace_shared_units(t, now, dma_accesses, conflicts - self.conflicts_seen);
             self.conflicts_seen = conflicts;

@@ -1,9 +1,9 @@
-//! The min-of-N interleaved overhead guard shared by `perf-report`'s
-//! paused-hook and telemetry guards, and the [`Verdict`] every one of its
-//! guards reports through.
+//! The min-of-N interleaved overhead guard behind `perf-report`'s
+//! telemetry guard, and the [`Verdict`] every one of its guards reports
+//! through.
 //!
-//! A guard compares the wall time of a *hooked* path (an attached but
-//! disabled observation hook) against the *bare* path. One round times
+//! A guard compares the wall time of a *hooked* path (an observation hook
+//! switched on) against the *bare* path (the hook off). One round times
 //! [`REPEATS`] pairs, alternating which path runs first so host drift
 //! (frequency ramp, cache warm-up) hits both equally, and keeps each path's
 //! minimum. The guard passes on the first round whose hooked minimum is
@@ -158,11 +158,11 @@ mod tests {
             .expect_err("3% over a 2% budget fails");
         assert_eq!(m.attempt, ATTEMPTS);
         assert!((m.overhead_pct() - 3.0).abs() < 1e-9);
-        let verdict = Verdict::overhead("tracing overhead", Err(m));
+        let verdict = Verdict::overhead("telemetry overhead", Err(m));
         assert!(verdict.failed());
         assert_eq!(
             verdict.to_string(),
-            "tracing overhead guard FAILED: hooked +3.00% vs bare (103.00ms vs 100.00ms, \
+            "telemetry overhead guard FAILED: hooked +3.00% vs bare (103.00ms vs 100.00ms, \
              min of 5, round 3/3; budget 2%)"
         );
     }

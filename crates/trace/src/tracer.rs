@@ -6,12 +6,9 @@ use crate::event::{EventKind, TraceEvent};
 ///
 /// A cluster either carries no tracer at all (the untraced hot path: every
 /// emission site is one `Option` branch, no event is constructed, nothing
-/// allocates) or carries one of these. A *paused* tracer keeps the hook
-/// plumbed in but records nothing — the state `perf-report`'s tracing
-/// overhead guard measures against the untraced path.
+/// allocates) or carries one of these, which records every event.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    enabled: bool,
     events: Vec<TraceEvent>,
 }
 
@@ -19,28 +16,13 @@ impl Tracer {
     /// A recording tracer.
     #[must_use]
     pub fn new() -> Self {
-        Tracer { enabled: true, events: Vec::new() }
+        Tracer::default()
     }
 
-    /// A tracer that is attached but records nothing (for overhead
-    /// measurements of the disabled hook).
-    #[must_use]
-    pub fn paused() -> Self {
-        Tracer { enabled: false, events: Vec::new() }
-    }
-
-    /// Whether events are being recorded.
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one event (no-op when paused).
+    /// Records one event.
     #[inline]
     pub fn record(&mut self, cycle: u64, hart: u8, kind: EventKind) {
-        if self.enabled {
-            self.events.push(TraceEvent { cycle, hart, kind });
-        }
+        self.events.push(TraceEvent { cycle, hart, kind });
     }
 
     /// The recorded events, in emission order (per-cycle, hart-major — the
@@ -90,10 +72,10 @@ mod tests {
     }
 
     #[test]
-    fn paused_tracer_records_nothing() {
-        let mut t = Tracer::paused();
-        t.record(0, 0, EventKind::BarrierArrive);
-        assert!(t.is_empty());
-        assert!(!t.is_recording());
+    fn default_tracer_records() {
+        let mut t = Tracer::default();
+        t.record(7, 2, EventKind::BarrierArrive);
+        assert_eq!(t.len(), 1);
+        assert_eq!((t.events()[0].cycle, t.events()[0].hart), (7, 2));
     }
 }
