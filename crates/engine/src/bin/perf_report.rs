@@ -3,7 +3,8 @@
 //! `BENCH_sim.json` lines and the guards CI gates on.
 //!
 //! ```text
-//! perf-report                          # pools 1,4,8, BENCH_sim.json, every guard
+//! perf-report                          # pools 1,4,8, every guard
+//! perf-report --record                 # ... and rewrite BENCH_sim.json
 //! perf-report --metrics METRICS.json --chrome host.trace.json
 //! perf-report --validate METRICS.json  # schema-check an existing file
 //! ```
@@ -23,9 +24,11 @@
 //!   `scaling_vs_workers1` of `BENCH_sim.json` and the `scaling` line of
 //!   `METRICS.json`.
 //!
-//! `BENCH_sim.json` (in the current directory) gets one line per pool and a
-//! single-worker `multicore` line (`gemm_tiled` and `pi_lcg_par` on one
-//! 8-core cluster). Every guard runs and reports through
+//! The run prints one `BENCH_sim.json` line per pool and a single-worker
+//! `multicore` line (`gemm_tiled` and `pi_lcg_par` on one 8-core cluster).
+//! Only `--record` writes them to `BENCH_sim.json` in the current directory,
+//! so an ordinary run never moves the baseline it is judged against. Every
+//! guard runs and reports through
 //! [`guard::Verdict`]; the run fails if any guard fails:
 //!
 //! * **regression** (smoke and multicore): the 1-worker cycles/s may not
@@ -47,8 +50,8 @@ const USAGE: &str = "\
 usage: perf-report [OPTIONS]
 
 Times the engine on the smoke job grid per worker pool: cold-pass phase
-attribution and scaling diagnosis, warm-pass throughput, BENCH_sim.json,
-and the regression, telemetry-overhead and verify-overhead guards.
+attribution and scaling diagnosis, warm-pass throughput, the BENCH_sim.json
+lines, and the regression, telemetry-overhead and verify-overhead guards.
 
 Options:
   --workers LIST    worker pools to measure (default: 1,4,8; the 1-worker
@@ -56,9 +59,12 @@ Options:
   --metrics PATH    write METRICS.json lines for every measured pool
   --chrome PATH     write a Chrome/Perfetto trace of the last pool's cold pass
   --validate PATH   validate an existing METRICS.json file and exit
+  --record          write the measured lines to BENCH_sim.json (the committed
+                    baseline; refused when a regression guard fails)
 ";
 
-/// The committed-baseline file, read and rewritten in the current directory.
+/// The committed-baseline file in the current directory: always read,
+/// rewritten only with `--record`.
 const BENCH_FILE: &str = "BENCH_sim.json";
 
 /// Wall time the warm passes of one throughput span at least; each
@@ -76,10 +82,12 @@ struct Args {
     metrics: Option<String>,
     chrome: Option<String>,
     validate: Option<String>,
+    record: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args { workers: vec![1, 4, 8], metrics: None, chrome: None, validate: None };
+    let mut args =
+        Args { workers: vec![1, 4, 8], metrics: None, chrome: None, validate: None, record: false };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value_of = |flag: &str| -> Result<String, String> {
@@ -98,6 +106,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--metrics" => args.metrics = Some(value_of("--metrics")?),
             "--chrome" => args.chrome = Some(value_of("--chrome")?),
             "--validate" => args.validate = Some(value_of("--validate")?),
+            "--record" => args.record = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -514,11 +523,13 @@ fn run(args: &Args) -> Result<(), ExitCode> {
     bench += &multicore.json_line(None);
     bench.push('\n');
     print!("{bench}");
-    // A slow run never becomes the next run's baseline.
-    if verdicts[..2].iter().any(Verdict::failed) {
-        eprintln!("perf-report: {BENCH_FILE} left as it was: a regression guard failed");
-    } else {
-        write(BENCH_FILE, &bench)?;
+    // Only `--record` moves the baseline, and a slow run never becomes it.
+    if args.record {
+        if verdicts[..2].iter().any(Verdict::failed) {
+            eprintln!("perf-report: {BENCH_FILE} left as it was: a regression guard failed");
+        } else {
+            write(BENCH_FILE, &bench)?;
+        }
     }
 
     if let Some(path) = &args.metrics {
@@ -547,6 +558,16 @@ fn run(args: &Args) -> Result<(), ExitCode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_record_rewrites_the_baseline() {
+        let args = |argv: &[&str]| {
+            parse_args(&argv.iter().map(ToString::to_string).collect::<Vec<_>>()).unwrap()
+        };
+        assert!(!args(&[]).record, "a plain run leaves BENCH_sim.json alone");
+        assert!(!args(&["--metrics", "m.json"]).record);
+        assert!(args(&["--record"]).record);
+    }
 
     #[test]
     fn each_effective_pool_is_measured_once() {

@@ -23,14 +23,6 @@ mod reference;
 /// Cycles without any unit making progress before a deadlock is declared.
 const DEADLOCK_WINDOW: u64 = 50_000;
 
-/// The issue counters a hart's work moves: the core slot (integer issues
-/// and FP offloads) and the FPU (every FP issue, core or sequencer). They
-/// change ⇔ the hart did work this cycle — the deadlock detector's progress
-/// signal.
-fn issue_work(stats: &Stats) -> u64 {
-    stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles
-}
-
 /// Books the cluster-shared events of cycle `now`, after the DMA step: the
 /// DMA engine's TCDM accesses, then the arbiter's newly denied requests.
 fn trace_shared_units(tracer: &mut Tracer, now: u64, dma_accesses: u32, new_conflicts: u64) {
@@ -46,7 +38,7 @@ fn trace_shared_units(tracer: &mut Tracer, now: u64, dma_accesses: u32, new_conf
 /// hart has halted, releases every waiting hart in the same cycle (halted
 /// harts count as arrived, so a partial shutdown can never deadlock the
 /// rest). Returns the new number of waiting harts.
-fn release_barrier(
+fn release_barrier<const HOOKED: bool>(
     units: &mut [CoreUnit],
     tracer: &mut Option<Tracer>,
     now: u64,
@@ -58,8 +50,10 @@ fn release_barrier(
     }
     for unit in units.iter_mut().filter(|u| u.core.barrier_waiting()) {
         unit.core.release_barrier();
-        if let Some(t) = tracer {
-            t.record(now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
+        if HOOKED {
+            if let Some(t) = tracer {
+                t.record(now, unit.core.hart_id() as u8, EventKind::BarrierRelease);
+            }
         }
     }
     0
@@ -114,7 +108,7 @@ impl CoreUnit {
     /// Returns whether the hart made progress (issued, or streamed a beat).
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
-    fn burst_cycle(
+    fn burst_cycle<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -127,10 +121,9 @@ impl CoreUnit {
         profiler: &mut Option<Profiler>,
     ) -> Result<bool, SimFault> {
         let CoreUnit { core, fpss, ssrs, l0, stats } = self;
-        let issued_before = issue_work(stats);
         fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
         let hart = core.hart_id() as u8;
-        let mut charge = Charge::new(hart, stats, tracer, profiler);
+        let mut charge = Charge::<HOOKED>::new(hart, stats, tracer, profiler);
         if !core.halted() && core.stall_until() <= now {
             core.step_block(
                 now,
@@ -167,7 +160,7 @@ impl CoreUnit {
             }
             charge.stats.ssr_beats[i] = ssr.beats();
         }
-        Ok(progressed || issue_work(charge.stats) != issued_before)
+        Ok(progressed || charge.progressed)
     }
 }
 
@@ -237,8 +230,9 @@ pub struct Cluster {
     /// [`load_program`](Self::load_program)).
     blocks: BlockCache,
     /// Event collector, attached when `cfg.trace` is set (or explicitly via
-    /// [`attach_tracer`](Self::attach_tracer)). `None` is the hot path:
-    /// every emission site is a single branch and constructs nothing.
+    /// [`attach_tracer`](Self::attach_tracer)). With neither collector
+    /// attached, the run takes the bare instantiation of the run loop, which
+    /// has no emission sites at all.
     tracer: Option<Tracer>,
     /// Cycle-profile collector, attached when `cfg.profile` is set (or
     /// explicitly via [`attach_profiler`](Self::attach_profiler)). Charges
@@ -564,6 +558,12 @@ impl Cluster {
         }
     }
 
+    /// Whether a run takes the hooked instantiation of the run loop: a
+    /// tracer or a profiler is attached.
+    fn hooked(&self) -> bool {
+        self.tracer.is_some() || self.profiler.is_some()
+    }
+
     /// Runs to completion, or until the clock reaches `until`; returns
     /// whether the run completed.
     fn run_inner(&mut self, until: u64) -> Result<bool, RunError> {
@@ -603,8 +603,13 @@ impl Cluster {
     /// `stop` (the timeout or the pause boundary). Reports
     /// [`RunError::Deadlock`] after [`DEADLOCK_WINDOW`] cycles without
     /// progress, or of draining.
+    ///
+    /// The loop is compiled twice (see the `charge` module): a call runs the
+    /// bare instantiation when neither a tracer nor a profiler is attached,
+    /// and the hooked one otherwise.
     fn block_burst(&mut self, stop: u64) -> Result<bool, RunError> {
         let start = self.cycle;
+        let hooked = self.hooked();
         let mut burst = Burst {
             conflicts_seen: self.arb.conflicts(),
             cfg: &self.cfg,
@@ -622,7 +627,7 @@ impl Cluster {
             halted: self.halted_count,
             waiting: self.barrier_waiting_count,
         };
-        let result = burst.run(stop);
+        let result = if hooked { burst.run::<true>(stop) } else { burst.run::<false>(stop) };
         let Burst { now, last_progress, halted, waiting, .. } = burst;
         self.cycle = now;
         self.last_progress_cycle = last_progress;
@@ -665,12 +670,12 @@ impl Burst<'_> {
     /// Runs until every hart has halted, then drains; see
     /// [`Cluster::block_burst`]. The drain has a loop of its own so the
     /// running loop carries none of its tests.
-    fn run(&mut self, stop: u64) -> Result<bool, RunError> {
+    fn run<const HOOKED: bool>(&mut self, stop: u64) -> Result<bool, RunError> {
         while self.halted < self.units.len() {
             if self.now >= stop {
                 return Ok(false);
             }
-            let (progressed, silent_until) = self.cycle()?;
+            let (progressed, silent_until) = self.cycle::<HOOKED>()?;
             if let Some(wake) = silent_until {
                 // Nothing acted and nothing can until the earliest resume:
                 // jump there. (A silent cycle makes no progress.)
@@ -687,7 +692,7 @@ impl Burst<'_> {
         }
         let drain_start = self.now;
         while !self.units.iter().all(|u| u.drained(self.now)) {
-            self.cycle()?;
+            self.cycle::<HOOKED>()?;
             self.now += 1;
             if self.now - drain_start > DEADLOCK_WINDOW {
                 return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
@@ -706,7 +711,7 @@ impl Burst<'_> {
     /// loop pays a call per simulated cycle.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn cycle(&mut self) -> Result<(bool, Option<u64>), SimFault> {
+    fn cycle<const HOOKED: bool>(&mut self) -> Result<(bool, Option<u64>), SimFault> {
         let now = self.now;
         self.arb.begin_cycle();
         let mut progressed = false;
@@ -721,7 +726,7 @@ impl Burst<'_> {
             }
             all_silent = false;
             let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
-            let r = unit.burst_cycle(
+            let r = unit.burst_cycle::<HOOKED>(
                 now,
                 self.cfg,
                 self.text,
@@ -744,12 +749,15 @@ impl Burst<'_> {
             *self.tcdm_dma_accesses += u64::from(dma_accesses);
             progressed |= self.dma.beats() != dma_beats_before;
         }
-        if let Some(t) = self.tracer.as_mut() {
-            let conflicts = self.arb.conflicts();
-            trace_shared_units(t, now, dma_accesses, conflicts - self.conflicts_seen);
-            self.conflicts_seen = conflicts;
+        if HOOKED {
+            if let Some(t) = self.tracer.as_mut() {
+                let conflicts = self.arb.conflicts();
+                trace_shared_units(t, now, dma_accesses, conflicts - self.conflicts_seen);
+                self.conflicts_seen = conflicts;
+            }
         }
-        self.waiting = release_barrier(self.units, self.tracer, now, self.waiting, self.halted);
+        self.waiting =
+            release_barrier::<HOOKED>(self.units, self.tracer, now, self.waiting, self.halted);
         Ok((progressed, (all_silent && self.waiting == 0).then_some(wake)))
     }
 }

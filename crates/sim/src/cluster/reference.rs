@@ -25,6 +25,16 @@ impl Cluster {
     /// The reference run loop: [`run_inner`](Self::run_inner) with every
     /// cycle stepped.
     pub(super) fn run_stepped(&mut self, until: u64) -> Result<bool, RunError> {
+        if self.hooked() {
+            self.run_stepped_as::<true>(until)
+        } else {
+            self.run_stepped_as::<false>(until)
+        }
+    }
+
+    /// [`run_stepped`](Self::run_stepped) in the bare (`HOOKED = false`) or
+    /// the hooked instantiation.
+    fn run_stepped_as<const HOOKED: bool>(&mut self, until: u64) -> Result<bool, RunError> {
         let cores = self.units.len();
         while self.halted_count < cores {
             if self.cycle >= self.cfg.max_cycles {
@@ -33,7 +43,7 @@ impl Cluster {
             if self.cycle >= until {
                 return Ok(false);
             }
-            if self.step_units()? {
+            if self.step_units::<HOOKED>()? {
                 self.last_progress_cycle = self.cycle;
             } else if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
                 return Err(RunError::Deadlock { cycle: self.cycle, pc: stuck_pc(&self.units) });
@@ -43,7 +53,7 @@ impl Cluster {
         // complete (bounded by the deadlock window).
         let drain_start = self.cycle;
         while !self.units.iter().all(|u| u.drained(self.cycle)) {
-            self.step_units()?;
+            self.step_units::<HOOKED>()?;
             if self.cycle - drain_start > DEADLOCK_WINDOW {
                 return Err(RunError::Deadlock { cycle: self.cycle, pc: stuck_pc(&self.units) });
             }
@@ -54,7 +64,7 @@ impl Cluster {
     /// One cycle of work for every unit. Returns whether any unit made
     /// observable progress (issued an instruction, streamed a beat, moved a
     /// DMA byte).
-    fn step_units(&mut self) -> Result<bool, RunError> {
+    fn step_units<const HOOKED: bool>(&mut self) -> Result<bool, RunError> {
         let now = self.cycle;
         self.arb.begin_cycle();
         let conflicts_before = self.arb.conflicts();
@@ -82,14 +92,13 @@ impl Cluster {
 
             let was_halted = core.halted();
             let was_waiting = core.barrier_waiting();
-            let issued_before = super::issue_work(stats);
 
             // FP→int write-backs land before the core issues, so results
             // are visible the cycle they retire.
             fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
 
             let hart = core.hart_id() as u8;
-            let mut charge = Charge::new(hart, stats, tracer, profiler);
+            let mut charge = Charge::<HOOKED>::new(hart, stats, tracer, profiler);
             let core_result = core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, &mut charge);
             // Halt/barrier transitions happen only inside `core.step`;
             // commit them even when this or a later unit faults.
@@ -128,7 +137,7 @@ impl Cluster {
                 charge.stats.ssr_beats[i] = ssr.beats();
             }
 
-            progressed |= super::issue_work(charge.stats) != issued_before;
+            progressed |= charge.progressed;
         }
 
         // A unit fault skips the DMA engine; a faulting DMA beat aborts the
@@ -149,10 +158,13 @@ impl Cluster {
         };
         *tcdm_dma_accesses += u64::from(dma_accesses);
         progressed |= dma.beats() != dma_beats_before;
-        if let Some(t) = tracer {
-            trace_shared_units(t, now, dma_accesses, arb.conflicts() - conflicts_before);
+        if HOOKED {
+            if let Some(t) = tracer {
+                trace_shared_units(t, now, dma_accesses, arb.conflicts() - conflicts_before);
+            }
         }
-        barrier_waiting = release_barrier(units, tracer, now, barrier_waiting, halted_count);
+        barrier_waiting =
+            release_barrier::<HOOKED>(units, tracer, now, barrier_waiting, halted_count);
 
         self.halted_count = halted_count;
         self.barrier_waiting_count = barrier_waiting;

@@ -270,11 +270,11 @@ impl IntCore {
     /// and returns whether the issue must wait.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn operand_hazard(
+    fn operand_hazard<const HOOKED: bool>(
         &self,
         now: u64,
         regs: impl IntoIterator<Item = u8>,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> bool {
         for r in regs {
             let ready = self.ready_at[usize::from(r)];
@@ -294,7 +294,7 @@ impl IntCore {
     /// reference stepper issues every instruction through it. Returns `Err`
     /// on machine faults; sets [`halted`](Self::halted) on `ecall`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step(
+    pub(crate) fn step<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -305,7 +305,7 @@ impl IntCore {
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
         dma: &mut Dma,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
         if self.halted {
             return Ok(());
@@ -495,7 +495,7 @@ impl IntCore {
     /// port is already claimed for the write-back cycle.
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
-    fn issue_alu_like(
+    fn issue_alu_like<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -504,7 +504,7 @@ impl IntCore {
         rd: u8,
         value: u32,
         latency: u32,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> bool {
         let wb_cycle = now + u64::from(latency);
         if rd != 0 {
@@ -524,7 +524,7 @@ impl IntCore {
     /// `rd` may alias `rs1`).
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
-    fn jump(
+    fn jump<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -532,7 +532,7 @@ impl IntCore {
         inst: Inst,
         rd: u8,
         target: u32,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) {
         let link = self.pc.wrapping_add(4);
         if self.issue_alu_like(now, cfg, l0, inst, rd, link, 1, charge) {
@@ -544,14 +544,14 @@ impl IntCore {
     /// through.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn branch(
+    fn branch<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
         l0: &mut L0Cache,
         inst: Inst,
         taken: Option<u32>,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) {
         self.fetched(now, Lane::Int, inst, l0, charge);
         match taken {
@@ -564,7 +564,13 @@ impl IntCore {
     /// own pc (its first lost cycle is the next one), then moves the pc.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn redirect(&mut self, now: u64, cfg: &ClusterConfig, target: u32, charge: &mut Charge<'_>) {
+    fn redirect<const HOOKED: bool>(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        target: u32,
+        charge: &mut Charge<'_, HOOKED>,
+    ) {
         charge.stall(now + 1, self.pc, StallCause::Branch, cfg.branch_penalty);
         self.pc = target;
         self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
@@ -603,13 +609,13 @@ impl IntCore {
     /// it is the core slot's single issue-booking site.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn fetched(
+    fn fetched<const HOOKED: bool>(
         &mut self,
         now: u64,
         lane: Lane,
         inst: Inst,
         l0: &mut L0Cache,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) {
         if l0.fetch(self.pc.wrapping_sub(layout::TEXT_BASE) >> 2) {
             charge.stats.l0_hits += 1;
@@ -631,7 +637,7 @@ fn load_value(op: LoadOp, raw: u64) -> u32 {
 
 impl IntCore {
     #[allow(clippy::too_many_arguments)]
-    fn issue_csr(
+    fn issue_csr<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -643,7 +649,7 @@ impl IntCore {
         src: u8,
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> bool {
         let old: u32 = match csr {
             CSR_SSR => u32::from(fpss.ssr_enabled()),
@@ -729,7 +735,7 @@ impl IntCore {
     /// simulated cycle.
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
-    pub(crate) fn step_block(
+    pub(crate) fn step_block<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -741,7 +747,7 @@ impl IntCore {
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
         dma: &mut Dma,
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
         use crate::block::{BlockOp, OffloadVal};
         debug_assert!(!self.halted && self.stall_until <= now);

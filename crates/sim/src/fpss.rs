@@ -12,8 +12,6 @@
 //! thread can run ahead (this is what makes COPIFT's double/triple buffering
 //! sufficient).
 
-use std::collections::VecDeque;
-
 use snitch_riscv::inst::Inst;
 use snitch_riscv::meta::InstClass;
 use snitch_riscv::ops::{f64_to_i32, f64_to_u32, FpAluOp, FpCmpOp, FpFmt, IntCvt, SgnjOp};
@@ -99,26 +97,133 @@ impl OffloadEntry {
     }
 }
 
+/// The offload FIFO: a fixed ring of `depth` slots, allocated once. Pushes
+/// and pops move a head index and a length; nothing grows or shifts.
+#[derive(Clone, Debug)]
+struct FifoRing<T> {
+    slots: Box<[T]>,
+    /// Index of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl<T: Copy> FifoRing<T> {
+    /// An empty ring of `depth` slots, each initialised to `fill` (never
+    /// read: a slot is written before it is read).
+    fn new(depth: usize, fill: T) -> Self {
+        FifoRing { slots: vec![fill; depth].into_boxed_slice(), head: 0, len: 0 }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == self.slots.len()
+    }
+
+    /// The oldest entry.
+    fn front(&self) -> Option<T> {
+        (self.len > 0).then(|| self.slots[self.head])
+    }
+
+    /// Appends `value`. Callers check [`is_full`](Self::is_full) first.
+    fn push_back(&mut self, value: T) {
+        debug_assert!(!self.is_full(), "push into a full ring");
+        let mut tail = self.head + self.len;
+        if tail >= self.slots.len() {
+            tail -= self.slots.len();
+        }
+        self.slots[tail] = value;
+        self.len += 1;
+    }
+
+    /// Drops the oldest entry. Callers check it exists.
+    fn pop_front(&mut self) {
+        debug_assert!(!self.is_empty(), "pop from an empty ring");
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+        }
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SeqState {
     Idle,
-    Capture {
-        remaining: u8,
-        rep: u32,
-        stagger_max: u8,
-        stagger_mask: u8,
-        inst_major: bool,
-    },
-    /// `inst_major` = `frep.i`: each instruction repeats back-to-back before
-    /// the next; otherwise (`frep.o`) the whole sequence repeats.
-    Replay {
-        iter: u32,
-        total: u32,
-        pos: usize,
-        stagger_max: u8,
-        stagger_mask: u8,
-        inst_major: bool,
-    },
+    Capture { remaining: u8, rep: u32, stagger_max: u8, stagger_mask: u8, inst_major: bool },
+    Replay(Replay),
+}
+
+/// The sequencer's position in a replay: the ring slot and iteration of the
+/// next instruction to issue. `inst_major` = `frep.i`: each instruction
+/// repeats back-to-back before the next; otherwise (`frep.o`) the whole
+/// sequence repeats.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Replay {
+    iter: u32,
+    total: u32,
+    pos: usize,
+    stagger_max: u8,
+    stagger_mask: u8,
+    inst_major: bool,
+    /// The register stagger of this iteration, `iter % (stagger_max + 1)`,
+    /// carried along so no division runs per replay.
+    offset: u8,
+}
+
+impl Replay {
+    /// The first replayed issue after the capture pass (iteration 0) of a
+    /// `total`-iteration loop.
+    fn first(total: u32, stagger_max: u8, stagger_mask: u8, inst_major: bool) -> Self {
+        Replay {
+            iter: 1,
+            total,
+            pos: 0,
+            stagger_max,
+            stagger_mask,
+            inst_major,
+            offset: u8::from(stagger_max > 0),
+        }
+    }
+
+    /// The position after this one has issued, over a body of `len`
+    /// instructions; `None` once the loop is done. Sequence-major (`frep.o`)
+    /// wraps positions per iteration; instruction-major (`frep.i`) exhausts
+    /// each instruction's repetitions before moving on. The capture pass
+    /// already issued each instruction once, so `frep.i` replays instruction
+    /// `pos` from iteration 1 onwards.
+    fn next(self, len: usize) -> Option<Self> {
+        if self.inst_major {
+            if self.iter + 1 < self.total {
+                Some(self.next_iter(self.pos))
+            } else if self.pos + 1 < len {
+                let first = Self::first(self.total, self.stagger_max, self.stagger_mask, true);
+                Some(Replay { pos: self.pos + 1, ..first })
+            } else {
+                None
+            }
+        } else if self.pos + 1 < len {
+            Some(Replay { pos: self.pos + 1, ..self })
+        } else if self.iter + 1 < self.total {
+            Some(self.next_iter(0))
+        } else {
+            None
+        }
+    }
+
+    /// Iteration `iter + 1` at ring slot `pos`: the stagger offset steps by
+    /// one and wraps after `stagger_max`.
+    fn next_iter(self, pos: usize) -> Self {
+        let offset = if self.offset == self.stagger_max { 0 } else { self.offset + 1 };
+        Replay { iter: self.iter + 1, pos, offset, ..self }
+    }
 }
 
 /// A completed FP→integer write-back to deliver to the core.
@@ -133,8 +238,7 @@ pub struct IntWriteback {
 /// The FP subsystem.
 #[derive(Clone, Debug)]
 pub struct Fpss {
-    fifo: VecDeque<OffloadEntry>,
-    fifo_capacity: usize,
+    fifo: FifoRing<OffloadEntry>,
     ring: Vec<OffloadEntry>,
     ring_capacity: usize,
     seq: SeqState,
@@ -145,6 +249,8 @@ pub struct Fpss {
     divsqrt_busy_until: u64,
     busy_until: u64,
     int_wb: Vec<(u64, IntWriteback)>,
+    /// FPU results bound for an SSR write stream, `(due cycle, ssr, bits)`
+    /// in issue order.
     ssr_pushes: Vec<(u64, usize, u64)>,
 }
 
@@ -153,8 +259,7 @@ impl Fpss {
     #[must_use]
     pub fn new(cfg: &ClusterConfig) -> Self {
         Fpss {
-            fifo: VecDeque::with_capacity(cfg.offload_fifo_depth),
-            fifo_capacity: cfg.offload_fifo_depth,
+            fifo: FifoRing::new(cfg.offload_fifo_depth, OffloadEntry::new(Inst::Fence, None)),
             ring: Vec::with_capacity(cfg.sequencer_depth),
             ring_capacity: cfg.sequencer_depth,
             seq: SeqState::Idle,
@@ -189,7 +294,7 @@ impl Fpss {
     /// Whether the offload FIFO can accept another instruction.
     #[must_use]
     pub fn can_accept(&self) -> bool {
-        self.fifo.len() < self.fifo_capacity
+        !self.fifo.is_full()
     }
 
     /// Pushes an offloaded instruction (the core's issue slot for it).
@@ -199,7 +304,7 @@ impl Fpss {
     /// Panics if the FIFO is full; callers check [`can_accept`](Self::can_accept).
     pub fn offload(&mut self, entry: OffloadEntry) {
         assert!(self.can_accept(), "offload into full FIFO");
-        if matches!(entry.inst, Inst::Fsw { .. } | Inst::Fsd { .. }) {
+        if entry.meta.class == InstClass::FpStore {
             self.pending_stores += 1;
         }
         self.fifo.push_back(entry);
@@ -279,34 +384,36 @@ impl Fpss {
     ///
     /// Returns a [`SimFault`] on malformed programs (FREP body overflow or
     /// non-FP instructions inside a capture) and on memory faults.
-    pub(crate) fn step(
+    pub(crate) fn step<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
-        // Deliver FPU results into SSR write FIFOs.
-        let mut idx = 0;
-        while idx < self.ssr_pushes.len() {
-            if self.ssr_pushes[idx].0 <= now {
-                let (_, ssr, bits) = self.ssr_pushes.swap_remove(idx);
-                ssrs[ssr].push(bits);
-            } else {
-                idx += 1;
-            }
+        // Deliver due FPU results into SSR write FIFOs, in issue order: a
+        // stream stores same-cycle results in the order they were issued.
+        if !self.ssr_pushes.is_empty() {
+            self.ssr_pushes.retain(|&(due, ssr, bits)| {
+                if due <= now {
+                    ssrs[ssr].push(bits);
+                    false
+                } else {
+                    true
+                }
+            });
         }
 
-        if matches!(self.seq, SeqState::Replay { .. }) {
+        if matches!(self.seq, SeqState::Replay(_)) {
             charge.stats.seq_active_cycles += 1;
         }
 
         match self.seq {
             SeqState::Idle => {
                 // Process at most one FREP marker, then try to issue.
-                if let Some(front) = self.fifo.front().copied() {
+                if let Some(front) = self.fifo.front() {
                     let frep = match front.inst {
                         Inst::FrepO { max_inst, stagger_max, stagger_mask, .. } => {
                             Some((max_inst, stagger_max, stagger_mask, false))
@@ -337,57 +444,23 @@ impl Fpss {
                     }
                     if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
                         self.fifo.pop_front();
-                        charge.stats.fpu_busy_cycles += 1;
+                        charge.fpu_issue();
                     }
                 }
                 Ok(())
             }
             SeqState::Capture { .. } => self.step_capture(now, cfg, mem, arb, ssrs, charge),
-            SeqState::Replay { iter, total, pos, stagger_max, stagger_mask, inst_major } => {
-                let mut staggered = self.ring[pos];
-                let offset =
-                    if stagger_max == 0 { 0 } else { (iter % (u32::from(stagger_max) + 1)) as u8 };
-                stagger_entry(&mut staggered, stagger_mask, offset);
+            SeqState::Replay(replay) => {
+                let mut staggered = self.ring[replay.pos];
+                stagger_entry(&mut staggered, replay.stagger_mask, replay.offset);
                 if self.try_issue(&staggered, Lane::FpSeq, now, cfg, mem, arb, ssrs, charge)? {
                     charge.issue(now, staggered.pc, Lane::FpSeq, staggered.inst);
-                    charge.stats.fpu_busy_cycles += 1;
-                    // Advance: sequence-major (frep.o) wraps positions per
-                    // iteration; instruction-major (frep.i) exhausts each
-                    // instruction's repetitions before moving on. Note the
-                    // first (capture) pass already issued each instruction
-                    // once, so frep.i replays instruction `pos` from
-                    // iteration `iter` onwards.
-                    let (next_pos, next_iter, done) = if inst_major {
-                        if iter + 1 == total {
-                            if pos + 1 == self.ring.len() {
-                                (0, 0, true)
-                            } else {
-                                (pos + 1, 1, false)
-                            }
-                        } else {
-                            (pos, iter + 1, false)
-                        }
-                    } else if pos + 1 == self.ring.len() {
-                        if iter + 1 == total {
-                            (0, 0, true)
-                        } else {
-                            (0, iter + 1, false)
-                        }
+                    charge.fpu_issue();
+                    if let Some(next) = replay.next(self.ring.len()) {
+                        self.seq = SeqState::Replay(next);
                     } else {
-                        (pos + 1, iter, false)
-                    };
-                    if done {
                         self.seq = SeqState::Idle;
                         self.ring.clear();
-                    } else {
-                        self.seq = SeqState::Replay {
-                            iter: next_iter,
-                            total,
-                            pos: next_pos,
-                            stagger_max,
-                            stagger_mask,
-                            inst_major,
-                        };
                     }
                 }
                 Ok(())
@@ -395,20 +468,20 @@ impl Fpss {
         }
     }
 
-    fn step_capture(
+    fn step_capture<const HOOKED: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
         let SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } = self.seq
         else {
             unreachable!("step_capture outside capture state");
         };
-        let Some(front) = self.fifo.front().copied() else {
+        let Some(front) = self.fifo.front() else {
             return Ok(());
         };
         if !front.inst.is_fp() {
@@ -419,19 +492,12 @@ impl Fpss {
         }
         if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
             self.fifo.pop_front();
-            charge.stats.fpu_busy_cycles += 1;
+            charge.fpu_issue();
             self.ring.push(front);
             let remaining = remaining - 1;
             if remaining == 0 {
                 self.seq = if rep > 0 {
-                    SeqState::Replay {
-                        iter: 1,
-                        total: rep + 1,
-                        pos: 0,
-                        stagger_max,
-                        stagger_mask,
-                        inst_major,
-                    }
+                    SeqState::Replay(Replay::first(rep + 1, stagger_max, stagger_mask, inst_major))
                 } else {
                     self.ring.clear();
                     SeqState::Idle
@@ -447,8 +513,11 @@ impl Fpss {
     /// Attempts to issue one FP instruction to the FPU. Returns whether it
     /// issued (false = stall this cycle). `lane` tags the trace events with
     /// the issue slot the instruction came from (core offload vs sequencer).
-    #[allow(clippy::too_many_arguments)]
-    fn try_issue(
+    /// Forced inline into [`step`](Self::step) and the capture step, so a
+    /// cycle of FP issue is one call from the burst instead of two.
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
+    fn try_issue<const HOOKED: bool>(
         &mut self,
         entry: &OffloadEntry,
         lane: Lane,
@@ -457,7 +526,7 @@ impl Fpss {
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        charge: &mut Charge<'_>,
+        charge: &mut Charge<'_, HOOKED>,
     ) -> Result<bool, SimFault> {
         let inst = entry.inst;
         let meta = entry.meta;
@@ -920,6 +989,7 @@ fn cmp_bits(op: FpCmpOp, fmt: FpFmt, bits: [u64; 3]) -> u32 {
 mod tests {
     use super::*;
     use crate::stats::Stats;
+    use snitch_riscv::csr::SsrCfgWord;
     use snitch_riscv::ops::FmaOp;
 
     /// The cluster-side state one FP subsystem steps against.
@@ -951,7 +1021,7 @@ mod tests {
         fn step(&mut self, fpss: &mut Fpss, now: u64) -> Result<(), SimFault> {
             self.arb.begin_cycle();
             let (mut tracer, mut profiler) = (None, None);
-            let mut charge = Charge::new(0, &mut self.stats, &mut tracer, &mut profiler);
+            let mut charge = Charge::<false>::new(0, &mut self.stats, &mut tracer, &mut profiler);
             fpss.step(now, &self.cfg, &mut self.mem, &mut self.arb, &mut self.ssrs, &mut charge)
         }
 
@@ -1125,6 +1195,123 @@ mod tests {
         assert_eq!(f64_to_u32(-1.0), 0);
         assert_eq!(f64_to_u32(4.9), 4);
         assert_eq!(f64_to_u32(1e300), u32::MAX);
+    }
+
+    /// The offload ring against a `VecDeque` model: every push, pop, front
+    /// and fullness test agrees, at several depths, across many
+    /// wrap-arounds and after `clear`.
+    #[test]
+    fn fifo_ring_matches_a_deque_model() {
+        use std::collections::VecDeque;
+        for depth in [1usize, 2, 3, 8] {
+            let mut ring = FifoRing::new(depth, 0u32);
+            let mut model = VecDeque::new();
+            let mut rng = 0x9e37_79b9_7f4a_7c15_u64 ^ depth as u64;
+            let mut next = 0u32;
+            for step in 0..2000 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                match rng % 9 {
+                    0..=3 if model.len() < depth => {
+                        ring.push_back(next);
+                        model.push_back(next);
+                        next += 1;
+                    }
+                    0..=6 if !model.is_empty() => {
+                        ring.pop_front();
+                        model.pop_front();
+                    }
+                    7 if step % 50 == 7 => {
+                        ring.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(ring.front(), model.front().copied(), "depth {depth}, step {step}");
+                assert_eq!(ring.is_empty(), model.is_empty(), "depth {depth}, step {step}");
+                assert_eq!(ring.is_full(), model.len() == depth, "depth {depth}, step {step}");
+            }
+            assert!(next > 4 * depth as u32, "depth {depth}: the ring wrapped repeatedly");
+        }
+    }
+
+    /// The stagger offset the replay carries equals `iter % (stagger_max +
+    /// 1)` at every replayed issue, and the walk visits every (slot,
+    /// iteration) pair after the capture pass exactly once, in `frep.o` and
+    /// `frep.i` order.
+    #[test]
+    fn carried_stagger_offset_matches_the_iteration_modulus() {
+        for inst_major in [false, true] {
+            for stagger_max in 0..=3u8 {
+                for len in 1..=3usize {
+                    for total in 2..=9u32 {
+                        let mut visits = Vec::new();
+                        let mut at = Some(Replay::first(total, stagger_max, 0b1, inst_major));
+                        while let Some(r) = at {
+                            let want = (r.iter % (u32::from(stagger_max) + 1)) as u8;
+                            assert_eq!(
+                                r.offset, want,
+                                "inst_major {inst_major}, stagger_max {stagger_max}, len {len}, \
+                                 total {total}, iter {}",
+                                r.iter
+                            );
+                            visits.push((r.pos, r.iter));
+                            at = r.next(len);
+                        }
+                        let expected: Vec<(usize, u32)> = if inst_major {
+                            (0..len).flat_map(|p| (1..total).map(move |i| (p, i))).collect()
+                        } else {
+                            (1..total).flat_map(|i| (0..len).map(move |p| (p, i))).collect()
+                        };
+                        assert_eq!(visits, expected, "issue order (inst_major {inst_major})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Three results bound for one SSR write stream and due in the same
+    /// cycle reach memory in issue order: an `fmadd` (latency 3), an
+    /// `fcvt.d.s` (latency 2) and an `fsgnj` (latency 1), issued on cycles
+    /// 0, 1 and 2, all retire on cycle 3.
+    #[test]
+    fn same_cycle_ssr_writes_store_in_issue_order() {
+        let mut h = Harness::new(ClusterConfig::default());
+        h.ssrs[0].write_cfg(SsrCfgWord::Status, 1); // write stream
+        h.ssrs[0].write_cfg(SsrCfgWord::Bound(0), 2);
+        h.ssrs[0].write_cfg(SsrCfgWord::Stride(0), 8);
+        h.ssrs[0].write_cfg(SsrCfgWord::Base, layout::TCDM_BASE);
+        let mut fpss = Fpss::new(&h.cfg);
+        fpss.set_ssr_enabled(true);
+        fpss.regs[FpReg::FA1.index() as usize] = 0.5f64.to_bits();
+        fpss.regs[FpReg::FA2.index() as usize] = 2.0f64.to_bits();
+        fpss.regs[FpReg::FA4.index() as usize] = nan_box(2.0f32.to_bits());
+        fpss.regs[FpReg::FA5.index() as usize] = 3.0f64.to_bits();
+        fpss.offload(fp(Inst::FpFma {
+            op: FmaOp::Madd,
+            fmt: FpFmt::D,
+            rd: FpReg::FT0,
+            rs1: FpReg::FA1,
+            rs2: FpReg::FA2,
+            rs3: FpReg::FA3,
+        }));
+        fpss.offload(fp(Inst::FpCvtF2F { to: FpFmt::D, rd: FpReg::FT0, rs1: FpReg::FA4 }));
+        fpss.offload(fp(Inst::FpSgnj {
+            op: SgnjOp::Sgnj,
+            fmt: FpFmt::D,
+            rd: FpReg::FT0,
+            rs1: FpReg::FA5,
+            rs2: FpReg::FA5,
+        }));
+        for now in 0..8 {
+            h.step(&mut fpss, now).unwrap();
+            h.ssrs[0].step(&mut h.mem, &mut h.arb, crate::mem::TcdmPort::Ssr(0, 0)).unwrap();
+        }
+        assert!(fpss.drained(8) && !h.ssrs[0].busy(), "all three results stored");
+        let stored: Vec<f64> =
+            (0..3).map(|i| h.mem.read_f64(layout::TCDM_BASE + 8 * i).unwrap()).collect();
+        assert_eq!(stored, [1.0, 2.0, 3.0]);
     }
 
     #[test]

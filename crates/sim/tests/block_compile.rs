@@ -7,7 +7,9 @@
 //! counts), registers, memory and trace event streams on both — plus
 //! engagement pins that the burst ran every cycle, pins that the deadlock,
 //! timeout and fault reports carry the same cycle and pc, and ledger pins
-//! that the cycle profile equals the per-hart counters on both.
+//! that the cycle profile equals the per-hart counters on both. Each loop
+//! is also compiled bare (no tracer or profiler attached) and hooked; the
+//! two must compute the same run.
 //!
 //! The program generator is the shared one in [`snitch_sim::testing`].
 
@@ -24,7 +26,7 @@ use snitch_sim::error::RunError;
 use snitch_sim::system::System;
 use snitch_sim::testing::{observe_with, random_program, Observation, Rng};
 use snitch_sim::Stats;
-use snitch_trace::{EventKind, Profile, TraceEvent};
+use snitch_trace::{EventKind, Profile, TraceEvent, Tracer};
 
 /// The reference arm: pure per-cycle stepping.
 fn observe_stepped(program: &Program, cores: usize) -> Observation {
@@ -420,6 +422,117 @@ fn ssr_faults_reported_at_identical_cycles_block_on_vs_off() {
                 assert!(f.to_string().contains(&format!("{BAD:#010x}")), "{f}");
             }
             other => panic!("expected a fault for the ssr {what}, got {other:?}"),
+        }
+    }
+}
+
+/// A run's result (final cycle count or error) and the state it leaves: the
+/// cluster statistics rollup, every hart's integer and FP registers and the
+/// first 16 KiB of the TCDM.
+type Outcome = (Result<u64, RunError>, Stats, Vec<u64>, Vec<u64>);
+
+/// Attaches collectors to a cluster (or none) before its program loads.
+type Hook = fn(&mut Cluster);
+
+/// Runs `p` on a `cores`-hart cluster, on the burst or on the stepper, with
+/// `hook` attaching collectors (or none) before the program loads.
+fn run_hooked(p: &Program, cores: usize, max_cycles: u64, burst: bool, hook: Hook) -> Outcome {
+    let mut c = Cluster::new(ClusterConfig { cores, max_cycles, ..ClusterConfig::default() });
+    c.set_block_compile(burst);
+    hook(&mut c);
+    c.load_program(p);
+    let result = c.run().map(|s| s.cycles);
+    let mut regs = Vec::new();
+    for h in 0..cores {
+        regs.extend((0..32).map(|r| u64::from(c.int_reg_of(h, IntReg::new(r)))));
+        regs.extend((0..32).map(|r| c.fp_reg_of(h, FpReg::new(r))));
+    }
+    let tcdm = (0..2048).map(|i| c.mem().read(TCDM_BASE + i * 8, 8).expect("tcdm read")).collect();
+    (result, c.stats().clone(), regs, tcdm)
+}
+
+/// The run loop is instantiated bare (no tracer or profiler attached: no
+/// hook code) and hooked (either attached). Both must compute the same run:
+/// identical stats, registers and memory on the random population at 1, 2
+/// and 4 harts, and deadlocks and timeouts reported at the same cycle and
+/// pc — on the burst and on the stepper alike.
+#[test]
+fn bare_and_hooked_instantiations_agree() {
+    let hooks: [(&str, Hook); 3] = [
+        ("traced", |c| c.attach_tracer(Tracer::new())),
+        ("profiled", |c| c.attach_profiler(Profiler::new())),
+        ("traced and profiled", |c| {
+            c.attach_tracer(Tracer::new());
+            c.attach_profiler(Profiler::new());
+        }),
+    ];
+    let max = ClusterConfig::default().max_cycles;
+    let mut cases = Vec::new();
+    let mut rng = Rng(0xb10c_cafe_f00d_0009);
+    for case in 0..18 {
+        let cores = [1, 2, 4][case % 3];
+        let frags = 3 + rng.below(5) as usize;
+        cases.push((
+            format!("random case {case}"),
+            cores,
+            random_program(&mut rng, cores, frags),
+            max,
+        ));
+    }
+    // An armed SSR stream nobody consumes: re-arming it stalls forever. On
+    // two harts, hart 0 waits at the barrier meanwhile.
+    let mut b = ProgramBuilder::new();
+    b.parallel();
+    b.csrr_mhartid(IntReg::A1);
+    b.bnez(IntReg::A1, "stuck");
+    b.barrier();
+    b.ecall();
+    b.label("stuck");
+    b.li(IntReg::A0, 3);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Bound(0));
+    b.li_u(IntReg::A0, TCDM_BASE);
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // arms
+    b.scfgwi(IntReg::A0, 0, SsrCfgWord::Base); // stalls forever
+    b.ecall();
+    cases.push(("barrier deadlock".into(), 2, b.build().unwrap(), max));
+    // The FPU waits forever on an SSR read stream that was never armed, and
+    // the core waits behind it at the FPU fence. No beat ever moves, so the
+    // deadlock is counted from the last issue.
+    let mut b = ProgramBuilder::new();
+    b.li(IntReg::A0, 5);
+    b.ssr_enable();
+    b.fadd_d(FpReg::FS0, FpReg::FT0, FpReg::FS1);
+    b.fpu_fence();
+    b.ecall();
+    cases.push(("fence deadlock".into(), 1, b.build().unwrap(), max));
+    let mut b = ProgramBuilder::new();
+    b.parallel();
+    b.li(IntReg::A0, 1_000_000);
+    b.label("spin");
+    b.addi(IntReg::A0, IntReg::A0, -1);
+    b.bnez(IntReg::A0, "spin");
+    b.ecall();
+    let spin = b.build().unwrap();
+    cases.push(("1-hart timeout".into(), 1, spin.clone(), 1001));
+    cases.push(("4-hart timeout".into(), 4, spin, 1003));
+
+    for (name, cores, p, max_cycles) in &cases {
+        for burst in [true, false] {
+            let bare = run_hooked(p, *cores, *max_cycles, burst, |_| {});
+            let expected = match &bare.0 {
+                Ok(_) => name.starts_with("random"),
+                Err(RunError::Deadlock { .. }) => name.ends_with("deadlock"),
+                Err(RunError::Timeout { .. }) => name.ends_with("timeout"),
+                Err(_) => false,
+            };
+            assert!(expected, "{name}: unexpected outcome {:?}", bare.0);
+            for (hook_name, hook) in hooks {
+                let hooked = run_hooked(p, *cores, *max_cycles, burst, hook);
+                assert!(
+                    hooked == bare,
+                    "{name}, {hook_name}, burst {burst}: bare and hooked diverge"
+                );
+            }
         }
     }
 }
