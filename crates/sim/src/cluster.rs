@@ -14,6 +14,7 @@ use crate::error::{RunError, SimFault};
 use crate::fpss::Fpss;
 use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
+use crate::memo::{Memo, Recording};
 use crate::ssr::Ssr;
 use crate::stats::Stats;
 
@@ -21,7 +22,7 @@ use crate::stats::Stats;
 mod reference;
 
 /// Cycles without any unit making progress before a deadlock is declared.
-const DEADLOCK_WINDOW: u64 = 50_000;
+pub(crate) const DEADLOCK_WINDOW: u64 = 50_000;
 
 /// Books the cluster-shared events of cycle `now`, after the DMA step: the
 /// DMA engine's TCDM accesses, then the arbiter's newly denied requests.
@@ -64,12 +65,12 @@ fn release_barrier<const HOOKED: bool>(
 /// hart's own statistics. The TCDM, its bank arbiter, the DMA engine and the
 /// hardware barrier are cluster-shared.
 #[derive(Clone, Debug)]
-struct CoreUnit {
-    core: IntCore,
-    fpss: Fpss,
-    ssrs: [Ssr; 3],
-    l0: L0Cache,
-    stats: Stats,
+pub(crate) struct CoreUnit {
+    pub(crate) core: IntCore,
+    pub(crate) fpss: Fpss,
+    pub(crate) ssrs: [Ssr; 3],
+    pub(crate) l0: L0Cache,
+    pub(crate) stats: Stats,
 }
 
 impl CoreUnit {
@@ -106,9 +107,11 @@ impl CoreUnit {
     /// FP→int write-backs, one issue through the block cache, the FP
     /// subsystem and the streamers — each skipped when provably a no-op.
     /// Returns whether the hart made progress (issued, or streamed a beat).
+    /// With `RECORD`, `rec` observes the steps for a memo recording (see
+    /// the `memo` module); without it, the observer is compiled out.
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
-    fn burst_cycle<const HOOKED: bool>(
+    fn burst_cycle<const HOOKED: bool, const RECORD: bool>(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
@@ -119,12 +122,20 @@ impl CoreUnit {
         dma: &mut Dma,
         tracer: &mut Option<Tracer>,
         profiler: &mut Option<Profiler>,
+        rec: Option<&mut Recording>,
     ) -> Result<bool, SimFault> {
         let CoreUnit { core, fpss, ssrs, l0, stats } = self;
+        let mut rec = rec.filter(|_| RECORD);
+        if let Some(r) = rec.as_deref_mut() {
+            r.begin_cycle(fpss, now);
+        }
         fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
         let hart = core.hart_id() as u8;
         let mut charge = Charge::<HOOKED>::new(hart, stats, tracer, profiler);
         if !core.halted() && core.stall_until() <= now {
+            if let Some(r) = rec.as_deref_mut() {
+                r.before_issue(core, blocks, charge.stats);
+            }
             core.step_block(
                 now,
                 cfg,
@@ -138,27 +149,45 @@ impl CoreUnit {
                 dma,
                 &mut charge,
             )?;
+            if let Some(r) = rec.as_deref_mut() {
+                r.after_issue(core, now, charge.stats);
+            }
         }
         // Checked after the issue: a just-offloaded op must step this
         // cycle. When still idle, `step` is a pure no-op.
         if !fpss.idle_now() {
+            if let Some(r) = rec.as_deref_mut() {
+                r.before_fp(fpss, now, charge.stats);
+            }
             fpss.step(now, cfg, mem, arb, ssrs, &mut charge)?;
+            if let Some(r) = rec.as_deref_mut() {
+                r.after_fp(charge.stats);
+            }
         }
         let mut progressed = false;
         for (i, ssr) in ssrs.iter_mut().enumerate() {
             if ssr.quiescent() {
                 continue;
             }
+            if let Some(r) = rec.as_deref_mut() {
+                r.before_ssr(i, ssr);
+            }
             let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart, i as u8))?;
             charge.stats.tcdm_ssr_accesses += u64::from(accesses);
             progressed |= accesses > 0;
             if accesses > 0 {
+                if let Some(r) = rec.as_deref_mut() {
+                    r.ssr_beat(i);
+                }
                 charge.event(now, || EventKind::SsrBeat { ssr: i as u8, count: accesses });
             }
             if ssr.armed() {
                 charge.stats.ssr_active_cycles[i] += 1;
             }
             charge.stats.ssr_beats[i] = ssr.beats();
+        }
+        if let Some(r) = rec {
+            r.end_cycle(now);
         }
         Ok(progressed || charge.progressed)
     }
@@ -238,6 +267,10 @@ pub struct Cluster {
     /// explicitly via [`attach_profiler`](Self::attach_profiler)). Charges
     /// are O(1) array increments.
     profiler: Option<Profiler>,
+    /// The steady-state memo of the bare one-hart run loop, made by its
+    /// first run and dropped by [`reset`](Self::reset) and
+    /// [`load_program`](Self::load_program).
+    memo: Option<Box<Memo>>,
 }
 
 impl Cluster {
@@ -278,6 +311,7 @@ impl Cluster {
             blocks: BlockCache::default(),
             tracer,
             profiler,
+            memo: None,
         }
     }
 
@@ -287,6 +321,7 @@ impl Cluster {
     pub fn load_program(&mut self, program: &Program) {
         self.text = program.text().iter().copied().map(Decoded::new).collect();
         self.blocks.recompile(&self.text, &self.cfg);
+        self.memo = None;
         self.mem.load_images(program.tcdm_image(), program.main_image());
         self.mem.load_l2(program.l2_image());
         let mut halted = 0;
@@ -337,6 +372,7 @@ impl Cluster {
         self.barrier_waiting_count = 0;
         self.block_replayed_cycles = 0;
         self.blocks.clear();
+        self.memo = None;
         self.tracer = self.cfg.trace.then(Tracer::new);
         self.profiler = self.cfg.profile.then(Profiler::new);
     }
@@ -512,6 +548,23 @@ impl Cluster {
         self.block_replayed_cycles
     }
 
+    /// Windows the steady-state memo replayed since the last
+    /// [`reset`](Self::reset) or [`load_program`](Self::load_program).
+    #[cfg(any(test, feature = "testing"))]
+    #[must_use]
+    pub fn memo_hits(&self) -> u64 {
+        self.memo.as_ref().map_or(0, |m| m.hits())
+    }
+
+    /// Memo replays that failed validation and ran the window timed
+    /// instead, since the last [`reset`](Self::reset) or
+    /// [`load_program`](Self::load_program).
+    #[cfg(any(test, feature = "testing"))]
+    #[must_use]
+    pub fn memo_fallbacks(&self) -> u64 {
+        self.memo.as_ref().map_or(0, |m| m.fallbacks())
+    }
+
     /// Recomputes the cluster rollup from the per-hart statistics and the
     /// shared DMA/arbiter counters.
     fn refresh_rollup(&mut self) {
@@ -622,6 +675,7 @@ impl Cluster {
             blocks: &self.blocks,
             tracer: &mut self.tracer,
             profiler: &mut self.profiler,
+            memo: &mut self.memo,
             now: start,
             last_progress: self.last_progress_cycle,
             halted: self.halted_count,
@@ -646,21 +700,22 @@ fn stuck_pc(units: &[CoreUnit]) -> u32 {
 
 /// One [`Cluster::block_burst`] call: the cluster's parts it drives and its
 /// run-loop counters, written back when the burst returns.
-struct Burst<'c> {
-    cfg: &'c ClusterConfig,
-    text: &'c [Decoded],
-    units: &'c mut [CoreUnit],
-    dma: &'c mut Dma,
-    mem: &'c mut Memory,
-    arb: &'c mut TcdmArbiter,
+pub(crate) struct Burst<'c> {
+    pub(crate) cfg: &'c ClusterConfig,
+    pub(crate) text: &'c [Decoded],
+    pub(crate) units: &'c mut [CoreUnit],
+    pub(crate) dma: &'c mut Dma,
+    pub(crate) mem: &'c mut Memory,
+    pub(crate) arb: &'c mut TcdmArbiter,
     tcdm_dma_accesses: &'c mut u64,
-    blocks: &'c BlockCache,
+    pub(crate) blocks: &'c BlockCache,
     tracer: &'c mut Option<Tracer>,
     profiler: &'c mut Option<Profiler>,
-    now: u64,
-    last_progress: u64,
-    halted: usize,
-    waiting: usize,
+    pub(crate) memo: &'c mut Option<Box<Memo>>,
+    pub(crate) now: u64,
+    pub(crate) last_progress: u64,
+    pub(crate) halted: usize,
+    pub(crate) waiting: usize,
     /// The arbiter's conflict count the tracer has seen (conflicts only
     /// change inside a cycle, so this is also the count at its start).
     conflicts_seen: u64,
@@ -669,36 +724,60 @@ struct Burst<'c> {
 impl Burst<'_> {
     /// Runs until every hart has halted, then drains; see
     /// [`Cluster::block_burst`]. The drain has a loop of its own so the
-    /// running loop carries none of its tests.
+    /// running loop carries none of its tests. The bare loop of a one-hart
+    /// cluster runs memoized (see the `memo` module).
     fn run<const HOOKED: bool>(&mut self, stop: u64) -> Result<bool, RunError> {
-        while self.halted < self.units.len() {
-            if self.now >= stop {
+        if !HOOKED && self.units.len() == 1 {
+            if !self.run_memoized(stop)? {
                 return Ok(false);
             }
-            let (progressed, silent_until) = self.cycle::<HOOKED>()?;
-            if let Some(wake) = silent_until {
-                // Nothing acted and nothing can until the earliest resume:
-                // jump there. (A silent cycle makes no progress.)
-                self.now = wake.min(stop).min(self.last_progress + DEADLOCK_WINDOW + 1);
-            } else {
-                self.now += 1;
-                if progressed {
-                    self.last_progress = self.now;
+        } else {
+            while self.halted < self.units.len() {
+                if self.now >= stop {
+                    return Ok(false);
                 }
-            }
-            if self.now - self.last_progress > DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
+                let (progressed, silent_until) = self.cycle::<HOOKED, false>(None)?;
+                self.advance_clock(progressed, silent_until, stop);
+                self.check_deadlock()?;
             }
         }
         let drain_start = self.now;
         while !self.units.iter().all(|u| u.drained(self.now)) {
-            self.cycle::<HOOKED>()?;
+            self.cycle::<HOOKED, false>(None)?;
             self.now += 1;
             if self.now - drain_start > DEADLOCK_WINDOW {
                 return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
             }
         }
         Ok(true)
+    }
+
+    /// Moves the clock past a cycle that reported `progressed` and
+    /// `silent_until` (see [`cycle`](Self::cycle)).
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    pub(crate) fn advance_clock(&mut self, progressed: bool, silent_until: Option<u64>, stop: u64) {
+        if let Some(wake) = silent_until {
+            // Nothing acted and nothing can until the earliest resume:
+            // jump there. (A silent cycle makes no progress.)
+            self.now = wake.min(stop).min(self.last_progress + DEADLOCK_WINDOW + 1);
+        } else {
+            self.now += 1;
+            if progressed {
+                self.last_progress = self.now;
+            }
+        }
+    }
+
+    /// Reports a deadlock once no unit made progress for
+    /// [`DEADLOCK_WINDOW`] cycles.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    pub(crate) fn check_deadlock(&self) -> Result<(), RunError> {
+        if self.now - self.last_progress > DEADLOCK_WINDOW {
+            return Err(RunError::Deadlock { cycle: self.now, pc: stuck_pc(self.units) });
+        }
+        Ok(())
     }
 
     /// One cycle at `now`, without advancing the clock. Returns whether any
@@ -709,9 +788,15 @@ impl Burst<'_> {
     /// Forced inline into both loops, and [`CoreUnit::burst_cycle`] into
     /// it: left to the compiler, one of them is outlined and the one-hart
     /// loop pays a call per simulated cycle.
+    ///
+    /// With `RECORD`, `rec` observes the cycle of the one hart of a memo
+    /// recording.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn cycle<const HOOKED: bool>(&mut self) -> Result<(bool, Option<u64>), SimFault> {
+    pub(crate) fn cycle<const HOOKED: bool, const RECORD: bool>(
+        &mut self,
+        mut rec: Option<&mut Recording>,
+    ) -> Result<(bool, Option<u64>), SimFault> {
         let now = self.now;
         self.arb.begin_cycle();
         let mut progressed = false;
@@ -726,7 +811,7 @@ impl Burst<'_> {
             }
             all_silent = false;
             let (was_halted, was_waiting) = (unit.core.halted(), unit.core.barrier_waiting());
-            let r = unit.burst_cycle::<HOOKED>(
+            let r = unit.burst_cycle::<HOOKED, RECORD>(
                 now,
                 self.cfg,
                 self.text,
@@ -736,6 +821,7 @@ impl Burst<'_> {
                 self.dma,
                 self.tracer,
                 self.profiler,
+                rec.as_deref_mut(),
             );
             self.halted += usize::from(!was_halted && unit.core.halted());
             self.waiting += usize::from(!was_waiting && unit.core.barrier_waiting());
@@ -1413,5 +1499,32 @@ mod tests {
             b.ecall();
         });
         assert!(c.int_reg(IntReg::A0) >= 2);
+    }
+
+    #[test]
+    fn only_a_bare_one_hart_run_makes_a_memo() {
+        let mut b = ProgramBuilder::new();
+        b.parallel();
+        b.li(IntReg::A0, 200);
+        b.label("loop");
+        b.addi(IntReg::A0, IntReg::A0, -1);
+        b.bnez(IntReg::A0, "loop");
+        b.ecall();
+        let p = b.build().unwrap();
+        let run = |cfg: ClusterConfig| {
+            let mut c = Cluster::new(cfg);
+            assert!(c.memo.is_none(), "a new cluster holds no memo");
+            c.load_program(&p);
+            c.run().expect("runs to completion");
+            c
+        };
+        let mut bare = run(ClusterConfig::default());
+        assert!(bare.memo.is_some(), "the bare one-hart burst memoizes");
+        bare.reset();
+        assert!(bare.memo.is_none(), "reset drops the memo");
+        let traced = run(ClusterConfig { trace: true, ..ClusterConfig::default() });
+        assert!(traced.memo.is_none(), "a hooked run never memoizes");
+        let two = run(ClusterConfig { cores: 2, ..ClusterConfig::default() });
+        assert!(two.memo.is_none(), "a two-hart cluster never memoizes");
     }
 }

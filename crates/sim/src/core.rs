@@ -506,14 +506,9 @@ impl IntCore {
         latency: u32,
         charge: &mut Charge<'_, HOOKED>,
     ) -> bool {
-        let wb_cycle = now + u64::from(latency);
-        if rd != 0 {
-            if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
-                charge.stall(now, self.pc, StallCause::WbPort, 1);
-                return false;
-            }
-            self.claim_wb(wb_cycle);
-        }
+        let Some(wb_cycle) = self.claim_result(now, cfg, rd, latency, charge) else {
+            return false;
+        };
         self.write_reg(rd, value, wb_cycle);
         self.fetched(now, Lane::Int, inst, l0, charge);
         true
@@ -749,7 +744,7 @@ impl IntCore {
         dma: &mut Dma,
         charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
-        use crate::block::{BlockOp, OffloadVal};
+        use crate::block::BlockOp;
         debug_assert!(!self.halted && self.stall_until <= now);
         // Pre-lowered pc-relative values assume a word-aligned pc; a
         // misaligned jump target takes the generic issue path.
@@ -788,12 +783,57 @@ impl IntCore {
         if self.operand_hazard(now, [b.srcs[0], b.srcs[1], b.dst], charge) {
             return Ok(());
         }
-        let inst = text[idx].inst;
+        let mut timing = Timed { now, cfg, l0, arb, charge };
+        self.issue(b, text[idx].inst, mem, fpss, &mut timing)?;
+        Ok(())
+    }
+
+    /// Claims the write-back port for a result into `rd` after `latency`
+    /// cycles. Returns the write-back cycle, or `None` (and books a stall)
+    /// if the port is already claimed for it.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn claim_result<const HOOKED: bool>(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        rd: u8,
+        latency: u32,
+        charge: &mut Charge<'_, HOOKED>,
+    ) -> Option<u64> {
+        let wb_cycle = now + u64::from(latency);
+        if rd != 0 {
+            if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
+                charge.stall(now, self.pc, StallCause::WbPort, 1);
+                return None;
+            }
+            self.claim_wb(wb_cycle);
+        }
+        Some(wb_cycle)
+    }
+
+    /// Issues the block op `b` (instruction `inst`) at the pc, whose
+    /// operands are ready: its structural hazards and bookkeeping through
+    /// `timing`, around its functional effect (result register, memory
+    /// access or offload, pc). The timed burst issues through [`Timed`]
+    /// and a memo replay through [`Replayed`]: one source, compiled once
+    /// per timing. Returns whether the issue redirected the pc, or `None`
+    /// when the slot was lost (or the replay refused the access).
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    pub(crate) fn issue(
+        &mut self,
+        b: crate::block::BlockInst,
+        inst: Inst,
+        mem: &mut Memory,
+        fpss: &mut Fpss,
+        timing: &mut impl IssueTiming,
+    ) -> Result<Option<bool>, SimFault> {
+        use crate::block::{BlockOp, OffloadVal};
         match b.op {
             BlockOp::Offload { val, meta, is_frep, writes_int_rf } => {
-                if !fpss.can_accept() {
-                    charge.stall(now, self.pc, StallCause::OffloadFull, 1);
-                    return Ok(());
+                if !timing.offload(self, fpss) {
+                    return Ok(None);
                 }
                 let int_val = match val {
                     OffloadVal::None => None,
@@ -807,75 +847,396 @@ impl IntCore {
                 }
                 fpss.offload(OffloadEntry::with_meta(inst, int_val, meta, self.pc));
                 let lane = if is_frep { Lane::Int } else { Lane::FpCore };
-                self.fetched(now, lane, inst, l0, charge);
+                timing.fetched(self, lane, inst);
             }
             BlockOp::Lui { value } | BlockOp::Auipc { value } => {
-                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, value, 1, charge) {
-                    return Ok(());
+                if !self.issue_result(b.dst, value, 1, inst, timing) {
+                    return Ok(None);
                 }
             }
             BlockOp::AluImm { op, rs1, imm } => {
                 let v = op.eval(self.regs[rs1 as usize], imm);
-                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, v, 1, charge) {
-                    return Ok(());
+                if !self.issue_result(b.dst, v, 1, inst, timing) {
+                    return Ok(None);
                 }
             }
             BlockOp::AluReg { op, rs1, rs2, latency } => {
                 let v = op.eval(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                if !self.issue_alu_like(now, cfg, l0, inst, b.dst, v, latency, charge) {
-                    return Ok(());
+                if !self.issue_result(b.dst, v, latency, inst, timing) {
+                    return Ok(None);
                 }
             }
             BlockOp::Jal { target } => {
-                self.jump(now, cfg, l0, inst, b.dst, target, charge);
-                return Ok(());
+                let link = self.pc.wrapping_add(4);
+                if !self.issue_result(b.dst, link, 1, inst, timing) {
+                    return Ok(None);
+                }
+                timing.redirect(self, target);
+                return Ok(Some(true));
             }
             BlockOp::Jalr { rs1, offset } => {
+                // The target comes from the pre-issue registers: `rd` may
+                // alias `rs1`.
                 let target = self.regs[rs1 as usize].wrapping_add(offset as u32) & !1;
-                self.jump(now, cfg, l0, inst, b.dst, target, charge);
-                return Ok(());
+                let link = self.pc.wrapping_add(4);
+                if !self.issue_result(b.dst, link, 1, inst, timing) {
+                    return Ok(None);
+                }
+                timing.redirect(self, target);
+                return Ok(Some(true));
             }
             BlockOp::Branch { op, rs1, rs2, taken_pc } => {
                 let taken = op.taken(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                self.branch(now, cfg, l0, inst, taken.then_some(taken_pc), charge);
-                return Ok(());
+                timing.fetched(self, Lane::Int, inst);
+                if taken {
+                    timing.redirect(self, taken_pc);
+                } else {
+                    self.pc = self.pc.wrapping_add(4);
+                }
+                return Ok(Some(taken));
             }
             BlockOp::Load { op, rs1, offset } => {
-                if fpss.has_pending_stores() {
-                    charge.stall(now, self.pc, StallCause::StoreOrder, 1);
-                    return Ok(());
-                }
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
-                let Some(extra) = self.lsu_access(addr, cfg, arb, charge.stats) else {
-                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
-                    return Ok(());
+                let Some(ready) = timing.load(self, fpss, mem, addr, op.size()) else {
+                    return Ok(None);
                 };
                 let v = load_value(op, mem.read(addr, op.size()).map_err(SimFault::from)?);
-                self.write_reg(b.dst, v, now + u64::from(cfg.load_latency + extra));
-                self.fetched(now, Lane::Int, inst, l0, charge);
+                self.write_reg(b.dst, v, ready);
+                timing.fetched(self, Lane::Int, inst);
             }
             BlockOp::Store { op, rs1, rs2, offset } => {
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
-                if self.lsu_access(addr, cfg, arb, charge.stats).is_none() {
-                    charge.stall(now, self.pc, StallCause::TcdmConflict, 1);
-                    return Ok(());
+                if !timing.store(self, mem, addr, op.size()) {
+                    return Ok(None);
                 }
                 mem.write(addr, op.size(), u64::from(self.regs[rs2 as usize]))
                     .map_err(SimFault::from)?;
-                self.fetched(now, Lane::Int, inst, l0, charge);
+                timing.fetched(self, Lane::Int, inst);
             }
-            BlockOp::Fence => self.fetched(now, Lane::Int, inst, l0, charge),
+            BlockOp::Fence => timing.fetched(self, Lane::Int, inst),
             BlockOp::Ecall => {
-                self.fetched(now, Lane::Int, inst, l0, charge);
+                timing.fetched(self, Lane::Int, inst);
                 self.halted = true;
-                return Ok(());
+                return Ok(Some(false));
             }
             BlockOp::Generic | BlockOp::FenceWait => {
-                unreachable!("dispatched to the generic issue path above")
+                unreachable!("dispatched to the generic issue path")
             }
         }
         self.pc = self.pc.wrapping_add(4);
-        Ok(())
+        Ok(Some(false))
+    }
+
+    /// An ALU-like issue writing `value` into `rd` after `latency` cycles:
+    /// claims the write-back port through `timing`, then writes the
+    /// register and books the fetch. Returns false if the slot was lost.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn issue_result(
+        &mut self,
+        rd: u8,
+        value: u32,
+        latency: u32,
+        inst: Inst,
+        timing: &mut impl IssueTiming,
+    ) -> bool {
+        let Some(ready) = timing.claim(self, rd, latency) else {
+            return false;
+        };
+        self.write_reg(rd, value, ready);
+        timing.fetched(self, Lane::Int, inst);
+        true
+    }
+}
+
+/// The timing of a block-op issue, which [`IntCore::issue`] calls around
+/// the op's functional effect: the structural hazards that lose the issue
+/// slot, and the port, fetch and redirect bookkeeping of an issue that
+/// goes ahead.
+pub(crate) trait IssueTiming {
+    /// An offload: whether the FPSS accepts it.
+    fn offload(&mut self, core: &IntCore, fpss: &Fpss) -> bool;
+    /// A result into `rd` after `latency` cycles: claims its write-back
+    /// port. Returns the register's ready time.
+    fn claim(&mut self, core: &mut IntCore, rd: u8, latency: u32) -> Option<u64>;
+    /// A load of `len` bytes at `addr`: queued FP stores, then the bank.
+    /// Returns the register's ready time.
+    fn load(
+        &mut self,
+        core: &IntCore,
+        fpss: &Fpss,
+        mem: &Memory,
+        addr: u32,
+        len: u32,
+    ) -> Option<u64>;
+    /// A store of `len` bytes at `addr`: the bank.
+    fn store(&mut self, core: &IntCore, mem: &Memory, addr: u32, len: u32) -> bool;
+    /// The instruction at the pc issued from `lane`.
+    fn fetched(&mut self, core: &mut IntCore, lane: Lane, inst: Inst);
+    /// A taken branch or a jump to `target`.
+    fn redirect(&mut self, core: &mut IntCore, target: u32);
+}
+
+/// The timed issue at cycle `now`: each lost slot books its stall, each
+/// issue its fetch, claims and refill window.
+pub(crate) struct Timed<'a, 'c, const HOOKED: bool> {
+    now: u64,
+    cfg: &'a ClusterConfig,
+    l0: &'a mut L0Cache,
+    arb: &'a mut TcdmArbiter,
+    charge: &'a mut Charge<'c, HOOKED>,
+}
+
+impl<const HOOKED: bool> IssueTiming for Timed<'_, '_, HOOKED> {
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn offload(&mut self, core: &IntCore, fpss: &Fpss) -> bool {
+        if fpss.can_accept() {
+            return true;
+        }
+        self.charge.stall(self.now, core.pc, StallCause::OffloadFull, 1);
+        false
+    }
+
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn claim(&mut self, core: &mut IntCore, rd: u8, latency: u32) -> Option<u64> {
+        core.claim_result(self.now, self.cfg, rd, latency, self.charge)
+    }
+
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn load(
+        &mut self,
+        core: &IntCore,
+        fpss: &Fpss,
+        _mem: &Memory,
+        addr: u32,
+        _len: u32,
+    ) -> Option<u64> {
+        if fpss.has_pending_stores() {
+            self.charge.stall(self.now, core.pc, StallCause::StoreOrder, 1);
+            return None;
+        }
+        let Some(extra) = core.lsu_access(addr, self.cfg, self.arb, self.charge.stats) else {
+            self.charge.stall(self.now, core.pc, StallCause::TcdmConflict, 1);
+            return None;
+        };
+        Some(self.now + u64::from(self.cfg.load_latency + extra))
+    }
+
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn store(&mut self, core: &IntCore, _mem: &Memory, addr: u32, _len: u32) -> bool {
+        if core.lsu_access(addr, self.cfg, self.arb, self.charge.stats).is_none() {
+            self.charge.stall(self.now, core.pc, StallCause::TcdmConflict, 1);
+            return false;
+        }
+        true
+    }
+
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn fetched(&mut self, core: &mut IntCore, lane: Lane, inst: Inst) {
+        core.fetched(self.now, lane, inst, self.l0, self.charge);
+    }
+
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn redirect(&mut self, core: &mut IntCore, target: u32) {
+        core.redirect(self.now, self.cfg, target, self.charge);
+    }
+}
+
+/// A memo replay's issue (see `memo.rs`): the recorded window already
+/// passed every hazard and the memo restores its scoreboard, claims and
+/// fetches afterwards, so only the pc moves. `access` sees each load's or
+/// store's bytes, as `(mem, addr, len, is_store)`, and may refuse them.
+pub(crate) struct Replayed<F>(pub(crate) F);
+
+impl<F: FnMut(&Memory, u32, u32, bool) -> bool> IssueTiming for Replayed<F> {
+    fn offload(&mut self, _core: &IntCore, fpss: &Fpss) -> bool {
+        fpss.can_accept()
+    }
+
+    fn claim(&mut self, _core: &mut IntCore, _rd: u8, _latency: u32) -> Option<u64> {
+        Some(0)
+    }
+
+    fn load(
+        &mut self,
+        _core: &IntCore,
+        _fpss: &Fpss,
+        mem: &Memory,
+        addr: u32,
+        len: u32,
+    ) -> Option<u64> {
+        (self.0)(mem, addr, len, false).then_some(0)
+    }
+
+    fn store(&mut self, _core: &IntCore, mem: &Memory, addr: u32, len: u32) -> bool {
+        (self.0)(mem, addr, len, true)
+    }
+
+    fn fetched(&mut self, _core: &mut IntCore, _lane: Lane, _inst: Inst) {}
+
+    fn redirect(&mut self, core: &mut IntCore, target: u32) {
+        core.pc = target;
+    }
+}
+
+/// The scoreboard and port state of an [`IntCore`] normalized to a cycle:
+/// what a memo replay does not recompute and restores instead (see
+/// `memo.rs`).
+#[derive(Clone, Debug)]
+pub(crate) struct IntTimers {
+    /// `stall_until` past the reference cycle (0 when not stalled).
+    stall: u32,
+    /// The registers not ready at the reference cycle, with `ready_at`
+    /// past it (`u32::MAX` when pending an FP→int write-back).
+    ready: Box<[(u8, u32)]>,
+    /// Live write-back port claims, `(cycles ahead, claims)`.
+    claims: Box<[(u32, u32)]>,
+}
+
+impl IntTimers {
+    /// Host bytes held beyond the struct.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.ready.len() * 8 + self.claims.len() * 8
+    }
+}
+
+/// The memo's view of the integer core (see `memo.rs`).
+impl IntCore {
+    /// Whether the core can start a memo window: running, not at a
+    /// barrier, and at a word-aligned pc.
+    pub(crate) fn memo_ready(&self) -> bool {
+        !self.halted && self.barrier == BarrierState::Idle && self.pc.trailing_zeros() >= 2
+    }
+
+    /// The text word index of the pc.
+    pub(crate) fn pc_word(&self) -> usize {
+        (self.pc.wrapping_sub(layout::TEXT_BASE) / 4) as usize
+    }
+
+    /// Appends the timing state to a memo key, normalized to `now`: the pc,
+    /// the refill window, the scoreboard (pending FP→int write-backs kept
+    /// distinct) and the live write-back port claims.
+    pub(crate) fn encode_key(&self, now: u64, key: &mut crate::memo::KeyBuf) {
+        key.put_pc(self.pc);
+        key.put(self.stall_until.saturating_sub(now));
+        key.put_offsets(&self.ready_at, now);
+        for (off, n) in self.live_claims(now) {
+            key.put(u64::from(off));
+            key.put(u64::from(n));
+        }
+        key.put(u64::MAX);
+    }
+
+    /// The write-back claims at or after `now`, in cycle order.
+    fn live_claims(&self, now: u64) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let len = self.wb_claims.len() as u64;
+        (0..len).filter_map(move |k| {
+            let (cycle, n) = self.wb_claims[self.wb_slot(now + k)];
+            (cycle == now + k).then_some((k as u32, n))
+        })
+    }
+
+    /// The scoreboard and port state normalized to `now`.
+    pub(crate) fn timers(&self, now: u64) -> IntTimers {
+        IntTimers {
+            stall: self.stall_until.saturating_sub(now) as u32,
+            ready: (0..32u8)
+                .filter(|&r| self.ready_at[usize::from(r)] > now)
+                .map(|r| match self.ready_at[usize::from(r)] {
+                    PENDING_FP => (r, u32::MAX),
+                    t => (r, (t - now) as u32),
+                })
+                .collect(),
+            claims: self.live_claims(now).collect(),
+        }
+    }
+
+    /// Restores [`timers`](Self::timers) taken on the same timing state,
+    /// normalized to `now`. A slot outside the restored claims only holds
+    /// a claim of a cycle before `now`, which no later query matches.
+    pub(crate) fn set_timers(&mut self, t: &IntTimers, now: u64) {
+        self.stall_until = now + u64::from(t.stall);
+        for slot in self.wb_claims.iter_mut().filter(|s| s.0 >= now) {
+            *slot = (u64::MAX, 0);
+        }
+        self.ready_at = [now; 32];
+        for &(r, off) in &t.ready {
+            self.ready_at[usize::from(r)] =
+                if off == u32::MAX { PENDING_FP } else { now + u64::from(off) };
+        }
+        for &(off, n) in &t.claims {
+            let cycle = now + u64::from(off);
+            let slot = self.wb_slot(cycle);
+            self.wb_claims[slot] = (cycle, n);
+        }
+    }
+
+    /// Copies every field a memo replay can change from `other`.
+    pub(crate) fn restore_from(&mut self, other: &IntCore) {
+        self.pc = other.pc;
+        self.regs = other.regs;
+        self.ready_at = other.ready_at;
+    }
+
+    /// Whether the memo can replay the instruction at the pc: no indirect
+    /// jump, halt, CSR, SSR-config or DMA operation.
+    pub(crate) fn replayable(&self, blocks: &[crate::block::BlockInst]) -> bool {
+        use crate::block::BlockOp;
+        !matches!(
+            blocks.get(self.pc_word()).map(|b| b.op),
+            None | Some(
+                BlockOp::Jalr { .. } | BlockOp::Ecall | BlockOp::FenceWait | BlockOp::Generic
+            )
+        ) && self.pc.trailing_zeros() >= 2
+    }
+
+    /// The address the core LSU requests for the load or store at the pc.
+    pub(crate) fn lsu_addr(&self, blocks: &[crate::block::BlockInst]) -> Option<u32> {
+        use crate::block::BlockOp;
+        match blocks.get(self.pc_word())?.op {
+            BlockOp::Load { rs1, offset, .. } | BlockOp::Store { rs1, offset, .. } => {
+                Some(self.regs[usize::from(rs1)].wrapping_add(offset as u32))
+            }
+            _ => None,
+        }
+    }
+
+    /// Replays the recorded issue of the instruction at the pc through
+    /// [`issue`](Self::issue) with the [`Replayed`] timing. Returns
+    /// whether the issue redirected the pc, or `None` when it cannot be
+    /// replayed (the memo then falls back to timed execution).
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    pub(crate) fn replay_issue(
+        &mut self,
+        text: &[Decoded],
+        blocks: &[crate::block::BlockInst],
+        mem: &mut Memory,
+        fpss: &mut Fpss,
+        access: impl FnMut(&Memory, u32, u32, bool) -> bool,
+    ) -> Option<bool> {
+        use crate::block::BlockOp;
+        let idx = self.pc_word();
+        let b = *blocks.get(idx)?;
+        if matches!(
+            b.op,
+            BlockOp::Jalr { .. } | BlockOp::Ecall | BlockOp::FenceWait | BlockOp::Generic
+        ) {
+            return None;
+        }
+        self.issue(b, text[idx].inst, mem, fpss, &mut Replayed(access)).ok().flatten()
+    }
+
+    /// Delivers the FP→int write-backs due at `now`, as the burst does at
+    /// the start of the hart's cycle.
+    pub(crate) fn replay_writebacks(&mut self, fpss: &mut Fpss, now: u64) {
+        fpss.drain_int_writebacks(now, |wb| self.apply_writeback(wb.rd, wb.value, now));
     }
 }
 

@@ -393,81 +393,40 @@ impl Fpss {
         ssrs: &mut [Ssr; 3],
         charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
-        // Deliver due FPU results into SSR write FIFOs, in issue order: a
-        // stream stores same-cycle results in the order they were issued.
-        if !self.ssr_pushes.is_empty() {
-            self.ssr_pushes.retain(|&(due, ssr, bits)| {
-                if due <= now {
-                    ssrs[ssr].push(bits);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        if matches!(self.seq, SeqState::Replay(_)) {
-            charge.stats.seq_active_cycles += 1;
-        }
-
+        self.deliver_ssr_pushes(now, ssrs);
+        // At most one FREP marker per cycle, then one issue attempt; each
+        // state issues its `candidate` and moves on as `advance` does.
         match self.seq {
             SeqState::Idle => {
-                // Process at most one FREP marker, then try to issue.
-                if let Some(front) = self.fifo.front() {
-                    let frep = match front.inst {
-                        Inst::FrepO { max_inst, stagger_max, stagger_mask, .. } => {
-                            Some((max_inst, stagger_max, stagger_mask, false))
-                        }
-                        Inst::FrepI { max_inst, stagger_max, stagger_mask, .. } => {
-                            Some((max_inst, stagger_max, stagger_mask, true))
-                        }
-                        _ => None,
-                    };
-                    if let Some((max_inst, stagger_max, stagger_mask, inst_major)) = frep {
-                        if usize::from(max_inst) > self.ring_capacity {
-                            return Err(SimFault::new(format!(
-                                "frep body of {max_inst} exceeds sequencer depth {}",
-                                self.ring_capacity
-                            )));
-                        }
-                        self.fifo.pop_front();
-                        self.ring.clear();
-                        let rep = front.int_val.unwrap_or(0);
-                        self.seq = SeqState::Capture {
-                            remaining: max_inst,
-                            rep,
-                            stagger_max,
-                            stagger_mask,
-                            inst_major,
-                        };
-                        return self.step_capture(now, cfg, mem, arb, ssrs, charge);
-                    }
-                    if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
-                        self.fifo.pop_front();
-                        charge.fpu_issue();
-                    }
+                let Some(front) = self.fifo.front() else {
+                    return Ok(());
+                };
+                if front.inst.is_frep() {
+                    self.begin_frep(&front)?;
+                    return self.step_capture(now, cfg, mem, arb, ssrs, charge);
+                }
+                if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
+                    self.fifo.pop_front();
+                    charge.fpu_issue();
                 }
                 Ok(())
             }
             SeqState::Capture { .. } => self.step_capture(now, cfg, mem, arb, ssrs, charge),
             SeqState::Replay(replay) => {
-                let mut staggered = self.ring[replay.pos];
-                stagger_entry(&mut staggered, replay.stagger_mask, replay.offset);
+                charge.stats.seq_active_cycles += 1;
+                let staggered = self.replayed(replay);
                 if self.try_issue(&staggered, Lane::FpSeq, now, cfg, mem, arb, ssrs, charge)? {
                     charge.issue(now, staggered.pc, Lane::FpSeq, staggered.inst);
                     charge.fpu_issue();
-                    if let Some(next) = replay.next(self.ring.len()) {
-                        self.seq = SeqState::Replay(next);
-                    } else {
-                        self.seq = SeqState::Idle;
-                        self.ring.clear();
-                    }
+                    self.replay_next(replay);
                 }
                 Ok(())
             }
         }
     }
 
+    /// A cycle of a capturing sequencer: the FIFO head issues and joins
+    /// the loop body.
     fn step_capture<const HOOKED: bool>(
         &mut self,
         now: u64,
@@ -477,10 +436,6 @@ impl Fpss {
         ssrs: &mut [Ssr; 3],
         charge: &mut Charge<'_, HOOKED>,
     ) -> Result<(), SimFault> {
-        let SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } = self.seq
-        else {
-            unreachable!("step_capture outside capture state");
-        };
         let Some(front) = self.fifo.front() else {
             return Ok(());
         };
@@ -491,30 +446,139 @@ impl Fpss {
             )));
         }
         if self.try_issue(&front, Lane::FpCore, now, cfg, mem, arb, ssrs, charge)? {
-            self.fifo.pop_front();
             charge.fpu_issue();
-            self.ring.push(front);
-            let remaining = remaining - 1;
-            if remaining == 0 {
-                self.seq = if rep > 0 {
-                    SeqState::Replay(Replay::first(rep + 1, stagger_max, stagger_mask, inst_major))
-                } else {
-                    self.ring.clear();
-                    SeqState::Idle
-                };
-            } else {
-                self.seq =
-                    SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major };
-            }
+            self.capture(front);
         }
         Ok(())
+    }
+
+    /// Delivers due FPU results into SSR write FIFOs, in issue order: a
+    /// stream stores same-cycle results in the order they were issued.
+    /// Returns whether any was due.
+    #[inline]
+    pub(crate) fn deliver_ssr_pushes(&mut self, now: u64, ssrs: &mut [Ssr; 3]) -> bool {
+        if self.ssr_pushes.is_empty() {
+            return false;
+        }
+        let before = self.ssr_pushes.len();
+        self.ssr_pushes.retain(|&(due, ssr, bits)| {
+            if due <= now {
+                ssrs[ssr].push(bits);
+                false
+            } else {
+                true
+            }
+        });
+        self.ssr_pushes.len() != before
+    }
+
+    /// Whether an idle sequencer faces an FREP marker at the FIFO head: the
+    /// next [`begin_frep`](Self::begin_frep) takes it. Returns its repeat
+    /// count.
+    pub(crate) fn pending_frep(&self) -> Option<u32> {
+        match (self.seq, self.fifo.front()) {
+            (SeqState::Idle, Some(e)) if e.inst.is_frep() => Some(e.int_val.unwrap_or(0)),
+            _ => None,
+        }
+    }
+
+    /// An idle sequencer facing the FREP marker `front` at the FIFO head
+    /// pops it and starts capturing the loop body.
+    fn begin_frep(&mut self, front: &OffloadEntry) -> Result<(), SimFault> {
+        let (max_inst, stagger_max, stagger_mask, inst_major) = match front.inst {
+            Inst::FrepO { max_inst, stagger_max, stagger_mask, .. } => {
+                (max_inst, stagger_max, stagger_mask, false)
+            }
+            Inst::FrepI { max_inst, stagger_max, stagger_mask, .. } => {
+                (max_inst, stagger_max, stagger_mask, true)
+            }
+            _ => return Ok(()),
+        };
+        if usize::from(max_inst) > self.ring_capacity {
+            return Err(SimFault::new(format!(
+                "frep body of {max_inst} exceeds sequencer depth {}",
+                self.ring_capacity
+            )));
+        }
+        self.fifo.pop_front();
+        self.ring.clear();
+        let rep = front.int_val.unwrap_or(0);
+        self.seq =
+            SeqState::Capture { remaining: max_inst, rep, stagger_max, stagger_mask, inst_major };
+        Ok(())
+    }
+
+    /// The instruction the FPU tries to issue next, with the lane it issues
+    /// from: the FIFO head (issued once, or captured into the loop body),
+    /// or the sequencer's staggered replay of a ring slot.
+    pub(crate) fn candidate(&self) -> Option<(OffloadEntry, Lane)> {
+        match self.seq {
+            SeqState::Idle | SeqState::Capture { .. } => {
+                self.fifo.front().map(|front| (front, Lane::FpCore))
+            }
+            SeqState::Replay(replay) => Some((self.replayed(replay), Lane::FpSeq)),
+        }
+    }
+
+    /// The ring slot `replay` issues, staggered.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn replayed(&self, replay: Replay) -> OffloadEntry {
+        let mut staggered = self.ring[replay.pos];
+        stagger_entry(&mut staggered, replay.stagger_mask, replay.offset);
+        staggered
+    }
+
+    /// Moves the FIFO and the sequencer past the [`candidate`](Self::candidate)
+    /// `entry` that just issued.
+    fn advance(&mut self, entry: OffloadEntry) {
+        match self.seq {
+            SeqState::Idle => self.fifo.pop_front(),
+            SeqState::Capture { .. } => self.capture(entry),
+            SeqState::Replay(replay) => self.replay_next(replay),
+        }
+    }
+
+    /// Moves a capturing sequencer past the FIFO head `entry`, which
+    /// issued: it joins the loop body, and the last body instruction
+    /// starts the replay (or ends a loop of one iteration).
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn capture(&mut self, entry: OffloadEntry) {
+        let SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } = self.seq
+        else {
+            unreachable!("capture outside the capture state");
+        };
+        self.fifo.pop_front();
+        self.ring.push(entry);
+        let remaining = remaining - 1;
+        self.seq = if remaining > 0 {
+            SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major }
+        } else if rep > 0 {
+            SeqState::Replay(Replay::first(rep + 1, stagger_max, stagger_mask, inst_major))
+        } else {
+            self.ring.clear();
+            SeqState::Idle
+        };
+    }
+
+    /// Moves a replaying sequencer past the issued position `replay`.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
+    fn replay_next(&mut self, replay: Replay) {
+        if let Some(next) = replay.next(self.ring.len()) {
+            self.seq = SeqState::Replay(next);
+        } else {
+            self.seq = SeqState::Idle;
+            self.ring.clear();
+        }
     }
 
     /// Attempts to issue one FP instruction to the FPU. Returns whether it
     /// issued (false = stall this cycle). `lane` tags the trace events with
     /// the issue slot the instruction came from (core offload vs sequencer).
-    /// Forced inline into [`step`](Self::step) and the capture step, so a
-    /// cycle of FP issue is one call from the burst instead of two.
+    /// Forced inline into [`step`](Self::step), so a cycle of FP issue is
+    /// one call from the burst instead of two.
     #[allow(clippy::too_many_arguments, clippy::inline_always)]
     #[inline(always)]
     fn try_issue<const HOOKED: bool>(
@@ -528,7 +592,6 @@ impl Fpss {
         ssrs: &mut [Ssr; 3],
         charge: &mut Charge<'_, HOOKED>,
     ) -> Result<bool, SimFault> {
-        let inst = entry.inst;
         let meta = entry.meta;
         let ssr_on = self.ssr_enabled;
 
@@ -586,8 +649,30 @@ impl Fpss {
                 charge.stats.l2_accesses += 1;
             }
         }
+        self.execute(entry, lane, now, cfg, mem, ssrs, charge)?;
+        Ok(true)
+    }
 
-        // --- execute (latency lookup and op counter in one dispatch) ---
+    /// Executes an FP instruction whose issue every hazard check and the
+    /// bank arbitration allowed: books its op counter, computes its result
+    /// (popping SSR operands) and schedules the result's write-back. The
+    /// memo's replay issues through this too.
+    #[allow(clippy::too_many_arguments, clippy::inline_always)]
+    #[inline(always)]
+    pub(crate) fn execute<const HOOKED: bool>(
+        &mut self,
+        entry: &OffloadEntry,
+        lane: Lane,
+        now: u64,
+        cfg: &ClusterConfig,
+        mem: &mut Memory,
+        ssrs: &mut [Ssr; 3],
+        charge: &mut Charge<'_, HOOKED>,
+    ) -> Result<(), SimFault> {
+        let inst = entry.inst;
+        let meta = entry.meta;
+        let ssr_on = self.ssr_enabled;
+        let class = meta.class;
         let latency = match class {
             InstClass::FpMulAdd => {
                 charge.stats.fpu_muladd_ops += 1;
@@ -664,7 +749,149 @@ impl Fpss {
             }
             Outcome::None => {}
         }
-        Ok(true)
+        Ok(())
+    }
+}
+
+/// The memo's view of the FP subsystem (see `memo.rs`): its timing state
+/// as key bytes, the functional replay of recorded actions, and the
+/// snapshot a failed replay restores.
+impl Fpss {
+    /// Whether an FP→int write-back is due at `now`: the cycle's drain
+    /// delivers at least one.
+    pub(crate) fn writeback_due(&self, now: u64) -> bool {
+        self.int_wb.iter().any(|&(due, _)| due <= now)
+    }
+
+    /// Whether an SSR push is due at `now`: the cycle's delivery moves at
+    /// least one result into its write FIFO.
+    pub(crate) fn ssr_push_due(&self, now: u64) -> bool {
+        self.ssr_pushes.iter().any(|&(due, _, _)| due <= now)
+    }
+
+    /// Appends the timing state to a memo key, normalized to `now`: the
+    /// pcs of the queued and captured instructions (which fix every
+    /// instruction and its metadata), the sequencer position with its
+    /// iterations left (capped), the register scoreboard, the
+    /// unit busy times, the SSR enable, the queued stores and the due
+    /// offsets of pending write-backs and SSR pushes. Operand values and
+    /// addresses are not timing state: the memo validates them on replay.
+    pub(crate) fn encode_key(&self, now: u64, key: &mut crate::memo::KeyBuf) {
+        key.put(self.fifo.len as u64);
+        for i in 0..self.fifo.len {
+            key.put_pc(self.fifo.slots[(self.fifo.head + i) % self.fifo.slots.len()].pc);
+        }
+        match self.seq {
+            SeqState::Idle => key.put(0),
+            SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } => {
+                key.put(1 | u64::from(inst_major) << 2);
+                key.put(u64::from(remaining));
+                key.put_count(rep);
+                key.put(u64::from(stagger_max) | u64::from(stagger_mask) << 8);
+            }
+            SeqState::Replay(r) => {
+                key.put(2 | u64::from(r.inst_major) << 2);
+                if r.inst_major {
+                    // Each instruction restarts the count: keyed whole.
+                    key.put(u64::from(r.total));
+                    key.put(u64::from(r.iter));
+                } else {
+                    key.put_count(r.total - r.iter);
+                }
+                key.put(r.pos as u64);
+                key.put(
+                    u64::from(r.stagger_max)
+                        | u64::from(r.stagger_mask) << 8
+                        | u64::from(r.offset) << 16,
+                );
+            }
+        }
+        key.put(self.ring.len() as u64);
+        for e in &self.ring {
+            key.put_pc(e.pc);
+        }
+        key.put_offsets(&self.ready_at, now);
+        key.put(self.busy_until.saturating_sub(now));
+        key.put(self.divsqrt_busy_until.saturating_sub(now));
+        key.put(u64::from(self.ssr_enabled) | (self.pending_stores as u64) << 1);
+        key.put(self.int_wb.len() as u64);
+        for &(due, wb) in &self.int_wb {
+            key.put(due.saturating_sub(now));
+            key.put(u64::from(wb.rd.index()));
+        }
+        key.put(self.ssr_pushes.len() as u64);
+        for &(due, ssr, _) in &self.ssr_pushes {
+            key.put(due.saturating_sub(now) << 2 | ssr as u64);
+        }
+    }
+
+    /// The sequencer's count of iterations left, which a memo key caps
+    /// (see `memo::Counts`): of the replay of an `frep.o`, or of the loop
+    /// being captured.
+    pub(crate) fn memo_count(&self) -> Option<u32> {
+        match self.seq {
+            SeqState::Capture { rep, .. } => Some(rep),
+            SeqState::Replay(r) if !r.inst_major => Some(r.total - r.iter),
+            _ => None,
+        }
+    }
+
+    /// Copies every field a memo replay can change from `other`, reusing
+    /// this subsystem's buffers.
+    pub(crate) fn restore_from(&mut self, other: &Fpss) {
+        self.fifo.slots.copy_from_slice(&other.fifo.slots);
+        self.fifo.head = other.fifo.head;
+        self.fifo.len = other.fifo.len;
+        self.ring.clone_from(&other.ring);
+        self.seq = other.seq;
+        self.regs = other.regs;
+        self.ready_at = other.ready_at;
+        self.pending_stores = other.pending_stores;
+        self.divsqrt_busy_until = other.divsqrt_busy_until;
+        self.busy_until = other.busy_until;
+        self.int_wb.clone_from(&other.int_wb);
+        self.ssr_pushes.clone_from(&other.ssr_pushes);
+    }
+
+    /// Replays a recorded FREP marker: pops it and starts the capture.
+    pub(crate) fn replay_frep(&mut self) -> Result<(), SimFault> {
+        let front = self.fifo.front().expect("a pending FREP marker");
+        self.begin_frep(&front)
+    }
+
+    /// Replays a recorded FPU issue of the [`candidate`](Self::candidate)
+    /// `entry` without its hazard checks, which the recorded timing
+    /// already passed: the same execution, write-backs and sequencer
+    /// advance as the timed issue. Counters go to `charge`, which the
+    /// replay discards (the memo applies the recorded counter deltas).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn replay_issue(
+        &mut self,
+        entry: &OffloadEntry,
+        lane: Lane,
+        now: u64,
+        cfg: &ClusterConfig,
+        mem: &mut Memory,
+        ssrs: &mut [Ssr; 3],
+        charge: &mut Charge<'_, false>,
+    ) -> Result<(), SimFault> {
+        self.execute(entry, lane, now, cfg, mem, ssrs, charge)?;
+        self.advance(*entry);
+        Ok(())
+    }
+}
+
+impl OffloadEntry {
+    /// The memory bytes this instruction accesses, as `(addr, len, is_store)`.
+    pub(crate) fn mem_span(&self) -> Option<(u32, u32, bool)> {
+        let addr = self.int_val?;
+        match self.inst {
+            Inst::Flw { .. } => Some((addr, 4, false)),
+            Inst::Fld { .. } => Some((addr, 8, false)),
+            Inst::Fsw { .. } => Some((addr, 4, true)),
+            Inst::Fsd { .. } => Some((addr, 8, true)),
+            _ => None,
+        }
     }
 }
 
@@ -793,40 +1020,41 @@ fn f32_of(bits: u64) -> f32 {
     f32::from_bits(bits as u32)
 }
 
-/// RISC-V `fclass` result mask.
-fn classify_f64(v: f64) -> u32 {
-    let bits = v.to_bits();
-    let sign = bits & F64_SIGN != 0;
-    if v.is_nan() {
-        // Signaling vs quiet: MSB of the mantissa.
-        if bits & 0x0008_0000_0000_0000 == 0 {
-            1 << 8
-        } else {
-            1 << 9
-        }
-    } else if v.is_infinite() {
-        if sign {
-            1 << 0
-        } else {
-            1 << 7
-        }
-    } else if v == 0.0 {
-        if sign {
-            1 << 3
-        } else {
-            1 << 4
-        }
-    } else if v.is_subnormal() {
-        if sign {
-            1 << 2
-        } else {
-            1 << 5
-        }
-    } else if sign {
-        1 << 1
-    } else {
-        1 << 6
+/// RISC-V `fclass` result mask of a value with `sign`, in the category
+/// `class` (which cannot tell a signaling NaN from a quiet one), where
+/// `quiet` is the mantissa's most significant bit.
+fn class_mask(class: std::num::FpCategory, sign: bool, quiet: bool) -> u32 {
+    use std::num::FpCategory;
+    let bit = match (class, sign) {
+        (FpCategory::Nan, _) => return if quiet { 1 << 9 } else { 1 << 8 },
+        (FpCategory::Infinite, true) => 0,
+        (FpCategory::Normal, true) => 1,
+        (FpCategory::Subnormal, true) => 2,
+        (FpCategory::Zero, true) => 3,
+        (FpCategory::Zero, false) => 4,
+        (FpCategory::Subnormal, false) => 5,
+        (FpCategory::Normal, false) => 6,
+        (FpCategory::Infinite, false) => 7,
+    };
+    1 << bit
+}
+
+/// `fclass.d` of the register bits.
+fn classify_f64(bits: u64) -> u32 {
+    let v = f64::from_bits(bits);
+    class_mask(v.classify(), bits & F64_SIGN != 0, bits & 0x0008_0000_0000_0000 != 0)
+}
+
+/// `fclass.s` of the register bits: classified as a single, without
+/// widening (which would read every subnormal as normal and quiet every
+/// signaling NaN). A value that is not NaN-boxed reads as the canonical
+/// quiet NaN.
+fn classify_f32(bits: u64) -> u32 {
+    if bits >> 32 != 0xFFFF_FFFF {
+        return 1 << 9;
     }
+    let (b, v) = (bits as u32, f32_of(bits));
+    class_mask(v.classify(), b & F32_SIGN != 0, b & 0x0040_0000 != 0)
 }
 
 /// Functional evaluation of one FP instruction on operand `bits`
@@ -947,8 +1175,8 @@ fn exec_fp(
         Inst::FpMvX2F { .. } => Outcome::Fp(nan_box(int_val.expect("fmv.w.x operand"))),
         Inst::FpClass { fmt, rd, .. } => {
             let mask = match fmt {
-                FpFmt::D => classify_f64(f64::from_bits(bits[0])),
-                FpFmt::S => classify_f64(f64::from(f32_of(bits[0]))),
+                FpFmt::D => classify_f64(bits[0]),
+                FpFmt::S => classify_f32(bits[0]),
             };
             Outcome::Int(rd, mask)
         }
@@ -970,7 +1198,7 @@ fn exec_fp(
             };
             Outcome::Fp(v.to_bits())
         }
-        Inst::CopiftClass { .. } => Outcome::Fp(u64::from(classify_f64(f64::from_bits(bits[0])))),
+        Inst::CopiftClass { .. } => Outcome::Fp(u64::from(classify_f64(bits[0]))),
         ref other => {
             return Err(SimFault::new(format!("`{other}` is not an FP instruction")));
         }
@@ -1175,15 +1403,44 @@ mod tests {
 
     #[test]
     fn classify_covers_all_classes() {
-        assert_eq!(classify_f64(f64::NEG_INFINITY), 1 << 0);
-        assert_eq!(classify_f64(-1.5), 1 << 1);
-        assert_eq!(classify_f64(-f64::MIN_POSITIVE / 2.0), 1 << 2);
-        assert_eq!(classify_f64(-0.0), 1 << 3);
-        assert_eq!(classify_f64(0.0), 1 << 4);
-        assert_eq!(classify_f64(f64::MIN_POSITIVE / 2.0), 1 << 5);
-        assert_eq!(classify_f64(2.5), 1 << 6);
-        assert_eq!(classify_f64(f64::INFINITY), 1 << 7);
-        assert_eq!(classify_f64(f64::NAN), 1 << 9);
+        let d = |v: f64| classify_f64(v.to_bits());
+        assert_eq!(d(f64::NEG_INFINITY), 1 << 0);
+        assert_eq!(d(-1.5), 1 << 1);
+        assert_eq!(d(-f64::MIN_POSITIVE / 2.0), 1 << 2);
+        assert_eq!(d(-0.0), 1 << 3);
+        assert_eq!(d(0.0), 1 << 4);
+        assert_eq!(d(f64::MIN_POSITIVE / 2.0), 1 << 5);
+        assert_eq!(d(2.5), 1 << 6);
+        assert_eq!(d(f64::INFINITY), 1 << 7);
+        assert_eq!(classify_f64(0x7FF0_0000_0000_0001), 1 << 8, "signaling NaN");
+        assert_eq!(d(f64::NAN), 1 << 9);
+    }
+
+    /// `fclass.s` through the FPU: single subnormals and signaling NaNs
+    /// keep their class (no widening to double), and a register that is not
+    /// NaN-boxed reads as the canonical quiet NaN.
+    #[test]
+    fn fclass_s_classifies_the_single() {
+        let class = |bits: u64| {
+            let mut h = Harness::new(ClusterConfig::default());
+            let mut fpss = Fpss::new(&h.cfg);
+            fpss.regs[FpReg::FA0.index() as usize] = bits;
+            fpss.offload(fp(Inst::FpClass { fmt: FpFmt::S, rd: IntReg::A0, rs1: FpReg::FA0 }));
+            h.step(&mut fpss, 0).unwrap();
+            due_writebacks(&mut fpss, u64::MAX)[0].value
+        };
+        let s = |v: f32| nan_box(v.to_bits());
+        assert_eq!(class(s(f32::NEG_INFINITY)), 1 << 0);
+        assert_eq!(class(s(-1.5)), 1 << 1);
+        assert_eq!(class(s(-f32::MIN_POSITIVE / 2.0)), 1 << 2, "negative subnormal");
+        assert_eq!(class(s(-0.0)), 1 << 3);
+        assert_eq!(class(s(0.0)), 1 << 4);
+        assert_eq!(class(s(f32::MIN_POSITIVE / 2.0)), 1 << 5, "positive subnormal");
+        assert_eq!(class(s(2.5)), 1 << 6);
+        assert_eq!(class(s(f32::INFINITY)), 1 << 7);
+        assert_eq!(class(nan_box(0x7F80_0001)), 1 << 8, "signaling NaN");
+        assert_eq!(class(s(f32::NAN)), 1 << 9);
+        assert_eq!(class(1.0f64.to_bits()), 1 << 9, "not NaN-boxed");
     }
 
     #[test]

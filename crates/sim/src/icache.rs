@@ -74,6 +74,12 @@ impl L0Cache {
         false
     }
 
+    /// Whether text word `word` is resident: its next fetch hits, and
+    /// changes nothing.
+    pub(crate) fn resident(&self, word: u32) -> bool {
+        self.stamps.get(word as usize).is_some_and(|&s| self.misses.wrapping_sub(s) < self.capacity)
+    }
+
     /// Fetches forwarded to the L1 instruction cache.
     #[must_use]
     pub fn misses(&self) -> u64 {

@@ -33,6 +33,7 @@ pub mod error;
 pub mod fpss;
 pub mod icache;
 pub mod mem;
+mod memo;
 pub mod ssr;
 pub mod stats;
 pub mod system;

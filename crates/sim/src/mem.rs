@@ -125,6 +125,40 @@ impl TcdmArbiter {
     pub fn conflicts(&self) -> u64 {
         self.conflicts
     }
+
+    /// The ports of hart `h` and of the DMA engine, in the bit order of
+    /// [`stalled_mask`](Self::stalled_mask).
+    fn memo_ports(h: u8) -> [TcdmPort; 7] {
+        [
+            TcdmPort::CoreLsu(h),
+            TcdmPort::FpLsu(h),
+            TcdmPort::Ssr(h, 0),
+            TcdmPort::Ssr(h, 1),
+            TcdmPort::Ssr(h, 2),
+            TcdmPort::DmaSrc,
+            TcdmPort::DmaDst,
+        ]
+    }
+
+    /// Which ports of a one-hart cluster (hart `h`) have a request already
+    /// counted as a conflict, one bit per port. Only membership matters to
+    /// the arbiter, never the list order.
+    pub(crate) fn stalled_mask(&self, h: u8) -> u8 {
+        let ports = Self::memo_ports(h);
+        self.stalled
+            .iter()
+            .fold(0, |m, p| m | ports.iter().position(|q| q == p).map_or(0, |i| 1 << i))
+    }
+
+    /// Replaces the stalled ports by those of `mask` (see
+    /// [`stalled_mask`](Self::stalled_mask)) and adds `conflicts` distinct
+    /// stalled requests: the arbiter's state after a memoized window.
+    pub(crate) fn set_stalled(&mut self, h: u8, mask: u8, conflicts: u64) {
+        self.stalled.clear();
+        let ports = Self::memo_ports(h);
+        self.stalled.extend((0..7).filter(|i| mask & (1 << i) != 0).map(|i| ports[i]));
+        self.conflicts += conflicts;
+    }
 }
 
 /// Growth step of a store past a region's backing (every region size in

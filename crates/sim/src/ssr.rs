@@ -268,104 +268,131 @@ impl Ssr {
         arb: &mut TcdmArbiter,
         port: TcdmPort,
     ) -> Result<u32, MemFault> {
-        if !self.active || self.done_generating && self.cfg.write_mode && self.data_fifo.is_empty()
-        {
+        if !self.wants_request() {
             return Ok(0);
         }
-        if self.cfg.write_mode {
-            self.step_write(mem, arb, port)
-        } else {
-            self.step_read(mem, arb, port)
-        }
-    }
-
-    fn step_read(
-        &mut self,
-        mem: &mut Memory,
-        arb: &mut TcdmArbiter,
-        port: TcdmPort,
-    ) -> Result<u32, MemFault> {
-        if self.done_generating {
-            return Ok(0);
-        }
-        // Need room for the element and its repeats.
-        let copies = self.cfg.repeat as usize + 1;
-        if self.data_fifo.len() + copies > self.fifo_capacity.max(copies) {
-            return Ok(0);
-        }
-        if self.cfg.indirect {
-            // Phase 1: fetch the index; phase 2: fetch the data.
-            match self.pending_index {
-                None => {
-                    let idx_bytes = 1u32 << self.cfg.idx_size_log2;
-                    let idx_addr = self.cfg.idx_base.wrapping_add(self.idx_counter * idx_bytes);
-                    if !arb.request(port, idx_addr) {
-                        return Ok(0);
-                    }
-                    let idx = mem.read(idx_addr, idx_bytes)? as u32;
-                    self.pending_index = Some(idx);
-                    self.idx_counter += 1;
-                    Ok(1)
-                }
-                Some(idx) => {
-                    let addr = self.cfg.base.wrapping_add(idx * self.elem_bytes());
-                    if !arb.request(port, addr) {
-                        return Ok(0);
-                    }
-                    let bits = self.read_elem(mem, addr)?;
-                    self.finish_element(bits);
-                    self.pending_index = None;
-                    Ok(1)
-                }
-            }
-        } else {
-            let addr = self.current_addr();
-            if !arb.request(port, addr) {
-                return Ok(0);
-            }
-            let bits = self.read_elem(mem, addr)?;
-            self.finish_element(bits);
-            Ok(1)
-        }
-    }
-
-    fn read_elem(&mut self, mem: &Memory, addr: u32) -> Result<u64, MemFault> {
-        let bits = mem.read(addr, self.elem_bytes())?;
-        self.beats += 1;
-        Ok(bits)
-    }
-
-    fn finish_element(&mut self, bits: u64) {
-        for _ in 0..=self.cfg.repeat {
-            self.data_fifo.push_back(bits);
-        }
-        if !self.advance() {
-            self.done_generating = true;
-        }
-    }
-
-    fn step_write(
-        &mut self,
-        mem: &mut Memory,
-        arb: &mut TcdmArbiter,
-        port: TcdmPort,
-    ) -> Result<u32, MemFault> {
-        let Some(&bits) = self.data_fifo.front() else {
-            return Ok(0);
-        };
-        let addr = self.current_addr();
+        let addr = self.request_addr();
         if !arb.request(port, addr) {
             return Ok(0);
         }
-        mem.write(addr, self.elem_bytes(), bits)?;
-        self.data_fifo.pop_front();
-        self.beats += 1;
-        if !self.advance() {
-            self.done_generating = true;
-            // Anything pushed beyond the pattern would be a kernel bug; the
-            // busy() condition keeps the streamer owned until drained.
-        }
+        self.perform(mem, addr)?;
         Ok(1)
+    }
+
+    /// Whether a cycle of work requests a TCDM bank: an armed read stream
+    /// with elements left to generate and room for the next one (and its
+    /// repeats), or a write stream with data to drain.
+    pub(crate) fn wants_request(&self) -> bool {
+        if !self.active {
+            return false;
+        }
+        if self.cfg.write_mode {
+            return !self.data_fifo.is_empty();
+        }
+        let copies = self.cfg.repeat as usize + 1;
+        !self.done_generating && self.data_fifo.len() + copies <= self.fifo_capacity.max(copies)
+    }
+
+    /// The address of the request [`wants_request`](Self::wants_request)
+    /// announces: an indirect stream fetches its next index, then the
+    /// element it selects; an affine stream walks its counters.
+    pub(crate) fn request_addr(&self) -> u32 {
+        if self.cfg.write_mode || !self.cfg.indirect {
+            return self.current_addr();
+        }
+        match self.pending_index {
+            None => {
+                let idx_bytes = 1u32 << self.cfg.idx_size_log2;
+                self.cfg.idx_base.wrapping_add(self.idx_counter * idx_bytes)
+            }
+            Some(idx) => self.cfg.base.wrapping_add(idx * self.elem_bytes()),
+        }
+    }
+
+    /// The access the granted request at `addr` performs: an index fetch,
+    /// an element fetch into the read FIFO, or the store of the write
+    /// FIFO's oldest element.
+    pub(crate) fn perform(&mut self, mem: &mut Memory, addr: u32) -> Result<(), MemFault> {
+        if self.cfg.write_mode {
+            let bits = *self.data_fifo.front().expect("a draining write stream holds data");
+            mem.write(addr, self.elem_bytes(), bits)?;
+            self.data_fifo.pop_front();
+            self.beats += 1;
+            if !self.advance() {
+                // Anything pushed beyond the pattern would be a kernel bug;
+                // the busy() condition keeps the streamer owned until drained.
+                self.done_generating = true;
+            }
+        } else if self.cfg.indirect && self.pending_index.is_none() {
+            let idx_bytes = 1u32 << self.cfg.idx_size_log2;
+            self.pending_index = Some(mem.read(addr, idx_bytes)? as u32);
+            self.idx_counter += 1;
+        } else {
+            let bits = mem.read(addr, self.elem_bytes())?;
+            self.beats += 1;
+            for _ in 0..=self.cfg.repeat {
+                self.data_fifo.push_back(bits);
+            }
+            if !self.advance() {
+                self.done_generating = true;
+            }
+            self.pending_index = None;
+        }
+        Ok(())
+    }
+
+    /// The bytes a write stream's next [`perform`](Self::perform) stores,
+    /// as `(addr, len)`; `None` for a read stream.
+    pub(crate) fn store_span(&self, addr: u32) -> Option<(u32, u32)> {
+        self.cfg.write_mode.then(|| (addr, self.elem_bytes()))
+    }
+
+    /// Appends the streamer's timing state to a memo key: its configuration
+    /// except the two base addresses, whether it is armed and done, its
+    /// FIFO occupancy and reservations, whether an index is in flight, and
+    /// the steps left per active dimension (capped). Addresses are not
+    /// timing state: the memo validates every one on replay.
+    pub(crate) fn encode_key(&self, key: &mut crate::memo::KeyBuf) {
+        let c = &self.cfg;
+        key.put(
+            u64::from(c.write_mode)
+                | u64::from(c.indirect) << 1
+                | u64::from(c.elem4) << 2
+                | u64::from(self.active) << 3
+                | u64::from(self.done_generating) << 4
+                | u64::from(self.pending_index.is_some()) << 5
+                | u64::from(c.dims) << 6
+                | u64::from(c.idx_size_log2) << 8,
+        );
+        key.put(u64::from(c.repeat));
+        key.put(self.data_fifo.len() as u64);
+        key.put(self.write_reserved as u64);
+        for d in 0..=c.dims as usize {
+            key.put(u64::from(c.bounds[d]));
+            key.put(u64::from(c.strides[d] as u32));
+            key.put_count(c.bounds[d] - self.counters[d]);
+        }
+    }
+
+    /// The steps left per active dimension, which a memo key caps (see
+    /// `memo::Counts`); `None` past the active dimensions.
+    pub(crate) fn memo_counts(&self) -> [Option<u32>; 4] {
+        std::array::from_fn(|d| {
+            (d <= self.cfg.dims as usize).then(|| self.cfg.bounds[d] - self.counters[d])
+        })
+    }
+
+    /// Copies every field a memo replay can change from `other`, reusing
+    /// this streamer's FIFO allocation.
+    pub(crate) fn restore_from(&mut self, other: &Ssr) {
+        self.active = other.active;
+        self.done_generating = other.done_generating;
+        self.counters = other.counters;
+        self.idx_counter = other.idx_counter;
+        self.pending_index = other.pending_index;
+        self.data_fifo.clone_from(&other.data_fifo);
+        self.write_reserved = other.write_reserved;
+        self.beats = other.beats;
     }
 }
 

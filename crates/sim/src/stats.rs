@@ -193,54 +193,8 @@ impl Stats {
     /// pathological run must clamp at `u64::MAX` rather than panic in debug
     /// builds or silently wrap in release builds.
     pub fn accumulate(&mut self, other: &Stats) {
-        macro_rules! acc {
-            ($($f:ident),* $(,)?) => {
-                $( self.$f = self.$f.saturating_add(other.$f); )*
-            };
-        }
-        acc!(
-            int_issued,
-            fp_issued_core,
-            fp_issued_seq,
-            stall_int_raw,
-            stall_wb_port,
-            stall_offload_full,
-            stall_fp_pending,
-            stall_ssr_cfg,
-            stall_fence,
-            stall_branch,
-            stall_tcdm_conflict,
-            stall_store_order,
-            stall_barrier,
-            l0_hits,
-            l0_misses,
-            fpu_muladd_ops,
-            fpu_short_ops,
-            fpu_cvt_ops,
-            fpu_divsqrt_ops,
-            fp_mem_ops,
-            fpu_busy_cycles,
-            seq_active_cycles,
-            fpu_stall_raw,
-            fpu_stall_ssr,
-            fpu_stall_tcdm,
-            tcdm_core_accesses,
-            tcdm_fp_accesses,
-            tcdm_ssr_accesses,
-            tcdm_dma_accesses,
-            tcdm_conflicts,
-            main_mem_accesses,
-            l2_accesses,
-            dma_busy_cycles,
-            dma_blocked_cycles,
-            dma_beats,
-            dma_hop_cycles,
-        );
-        for i in 0..3 {
-            self.ssr_beats[i] = self.ssr_beats[i].saturating_add(other.ssr_beats[i]);
-            self.ssr_active_cycles[i] =
-                self.ssr_active_cycles[i].saturating_add(other.ssr_active_cycles[i]);
-        }
+        let (a, b) = (self.counters(), other.counters());
+        self.set_counters(&std::array::from_fn(|i| a[i].saturating_add(b[i])));
     }
 
     /// Difference of two stats snapshots (for steady-state windows):
@@ -252,60 +206,90 @@ impl Stats {
     /// must degrade to a zero delta rather than take the caller down.
     #[must_use]
     pub fn delta_since(&self, earlier: &Stats) -> Stats {
-        macro_rules! sub {
-            ($($f:ident),* $(,)?) => {
-                Stats {
-                    $( $f: self.$f.saturating_sub(earlier.$f), )*
-                    ssr_beats: std::array::from_fn(|i| {
-                        self.ssr_beats[i].saturating_sub(earlier.ssr_beats[i])
-                    }),
-                    ssr_active_cycles: std::array::from_fn(|i| {
-                        self.ssr_active_cycles[i].saturating_sub(earlier.ssr_active_cycles[i])
-                    }),
-                }
-            };
-        }
-        sub!(
-            cycles,
-            int_issued,
-            fp_issued_core,
-            fp_issued_seq,
-            stall_int_raw,
-            stall_wb_port,
-            stall_offload_full,
-            stall_fp_pending,
-            stall_ssr_cfg,
-            stall_fence,
-            stall_branch,
-            stall_tcdm_conflict,
-            stall_store_order,
-            stall_barrier,
-            l0_hits,
-            l0_misses,
-            fpu_muladd_ops,
-            fpu_short_ops,
-            fpu_cvt_ops,
-            fpu_divsqrt_ops,
-            fp_mem_ops,
-            fpu_busy_cycles,
-            seq_active_cycles,
-            fpu_stall_raw,
-            fpu_stall_ssr,
-            fpu_stall_tcdm,
-            tcdm_core_accesses,
-            tcdm_fp_accesses,
-            tcdm_ssr_accesses,
-            tcdm_dma_accesses,
-            tcdm_conflicts,
-            main_mem_accesses,
-            l2_accesses,
-            dma_busy_cycles,
-            dma_blocked_cycles,
-            dma_beats,
-            dma_hop_cycles,
-        )
+        let (a, b) = (self.counters(), earlier.counters());
+        let mut d =
+            Stats { cycles: self.cycles.saturating_sub(earlier.cycles), ..Stats::default() };
+        d.set_counters(&std::array::from_fn(|i| a[i].saturating_sub(b[i])));
+        d
     }
 }
+
+/// Lists every counter of [`Stats`] except `cycles`, in a fixed order, to
+/// the macro `$m`: scalar fields by name, then the per-SSR arrays.
+macro_rules! counters {
+    ($m:ident) => {
+        $m! {
+            [
+                int_issued,
+                fp_issued_core,
+                fp_issued_seq,
+                stall_int_raw,
+                stall_wb_port,
+                stall_offload_full,
+                stall_fp_pending,
+                stall_ssr_cfg,
+                stall_fence,
+                stall_branch,
+                stall_tcdm_conflict,
+                stall_store_order,
+                stall_barrier,
+                l0_hits,
+                l0_misses,
+                fpu_muladd_ops,
+                fpu_short_ops,
+                fpu_cvt_ops,
+                fpu_divsqrt_ops,
+                fp_mem_ops,
+                fpu_busy_cycles,
+                seq_active_cycles,
+                fpu_stall_raw,
+                fpu_stall_ssr,
+                fpu_stall_tcdm,
+                tcdm_core_accesses,
+                tcdm_fp_accesses,
+                tcdm_ssr_accesses,
+                tcdm_dma_accesses,
+                tcdm_conflicts,
+                main_mem_accesses,
+                l2_accesses,
+                dma_busy_cycles,
+                dma_blocked_cycles,
+                dma_beats,
+                dma_hop_cycles,
+            ],
+            [ssr_beats, ssr_active_cycles]
+        }
+    };
+}
+
+macro_rules! counter_access {
+    ([$($f:ident),* $(,)?], [$($a:ident),*]) => {
+        /// The number of counters [`Stats::counters`] lists.
+        pub(crate) const COUNTERS: usize = [$(stringify!($f)),*].len() + 3 * [$(stringify!($a)),*].len();
+
+        impl Stats {
+            /// Every counter but `cycles`, in a fixed order (the index
+            /// [`add_counter`](Self::add_counter) takes).
+            pub(crate) fn counters(&self) -> [u64; COUNTERS] {
+                let mut out = [0; COUNTERS];
+                let all = [$(self.$f),* $(, self.$a[0], self.$a[1], self.$a[2])*];
+                out.copy_from_slice(&all);
+                out
+            }
+
+            /// Overwrites every counter but `cycles` from `c`, in the
+            /// order of [`counters`](Self::counters).
+            pub(crate) fn set_counters(&mut self, c: &[u64; COUNTERS]) {
+                let mut it = c.iter().copied();
+                let mut next = || it.next().unwrap_or_default();
+                $(self.$f = next();)*
+                $(self.$a = [next(), next(), next()];)*
+            }
+        }
+    };
+}
+
+counters!(counter_access);
 
 impl std::fmt::Display for Stats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

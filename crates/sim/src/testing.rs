@@ -49,7 +49,7 @@ impl Rng {
 
 /// Emits one random program fragment; `tag` uniquifies labels.
 fn fragment(b: &mut ProgramBuilder, rng: &mut Rng, tag: usize, parallel: bool) {
-    match rng.below(if parallel { 7 } else { 6 }) {
+    match rng.below(7) {
         // Integer loop with a data-dependent tail (taken branches produce
         // the silent refill windows the burst jumps over).
         0 => {
@@ -136,15 +136,67 @@ fn fragment(b: &mut ProgramBuilder, rng: &mut Rng, tag: usize, parallel: bool) {
             b.add(IntReg::T5, IntReg::T5, IntReg::A5);
         }
         // Barrier (SPMD only; every hart passes through the same sequence).
-        _ => {
+        _ if parallel => {
             b.barrier();
         }
+        // A long counted loop (one hart only: its data is not per hart).
+        _ => loop_fragment(b, rng, tag),
     }
 }
 
+/// A counted loop of 64–512 iterations of the kind the steady-state memo
+/// replays: integer ALU and multiply work, TCDM loads and stores whose
+/// banks rotate at two different rates, an FP load feeding an FP→int
+/// compare whose result may exit the loop early at a data-dependent
+/// iteration, all behind an SSR-fed FREP body that overlaps the loop's
+/// start. Single-hart only.
+fn loop_fragment(b: &mut ProgramBuilder, rng: &mut Rng, tag: usize) {
+    let n = 64 + rng.below(449) as usize;
+    // Past `n`: no early exit.
+    let exit_at = rng.below(2 * n as u64) as usize;
+    let xs: Vec<f64> =
+        (0..n).map(|i| if i == exit_at { 1e6 } else { (i % 7) as f64 * 0.5 }).collect();
+    let xs = b.tcdm_f64(&format!("lx{tag}"), &xs);
+    let ys = b.tcdm_reserve(&format!("ly{tag}"), 16 * n, 8);
+    b.li(IntReg::T1, 0);
+    b.scfgwi(IntReg::T1, 0, SsrCfgWord::Status);
+    b.scfgwi(IntReg::T1, 0, SsrCfgWord::Repeat);
+    b.li(IntReg::T1, n as i32 - 1);
+    b.scfgwi(IntReg::T1, 0, SsrCfgWord::Bound(0));
+    b.li(IntReg::T1, 8);
+    b.scfgwi(IntReg::T1, 0, SsrCfgWord::Stride(0));
+    b.li_u(IntReg::T1, xs);
+    b.scfgwi(IntReg::T1, 0, SsrCfgWord::Base);
+    b.ssr_enable();
+    b.li(IntReg::T0, n as i32 - 1);
+    b.frep_o(IntReg::T0, 1, 0, 0);
+    b.fadd_d(FpReg::FS5, FpReg::FS5, FpReg::FT0);
+    b.li(IntReg::A2, 1000);
+    b.fcvt_d_w(FpReg::FA2, IntReg::A2);
+    b.li_u(IntReg::A0, xs);
+    b.li_u(IntReg::A3, ys);
+    b.li(IntReg::A1, n as i32);
+    let (top, exit) = (format!("lp{tag}"), format!("lq{tag}"));
+    b.label(&top);
+    b.fld(FpReg::FA1, IntReg::A0, 0);
+    b.flt_d(IntReg::A4, FpReg::FA2, FpReg::FA1);
+    b.lw(IntReg::T1, IntReg::A3, 0);
+    b.add(IntReg::T2, IntReg::T2, IntReg::T1);
+    b.mul(IntReg::T3, IntReg::T2, IntReg::A1);
+    b.sw(IntReg::T3, IntReg::A3, 0);
+    b.addi(IntReg::A0, IntReg::A0, 8);
+    b.addi(IntReg::A3, IntReg::A3, 16);
+    b.addi(IntReg::A1, IntReg::A1, -1);
+    b.bnez(IntReg::A4, &exit);
+    b.bnez(IntReg::A1, &top);
+    b.label(&exit);
+    b.fpu_fence();
+    b.ssr_disable();
+}
+
 /// Builds a random program of `frags` fragments mixing integer loops, FP and
-/// FREP bodies, SSR streams, DMA copies with wait loops and (for SPMD
-/// shapes) barriers.
+/// FREP bodies, SSR streams, DMA copies with wait loops and, for SPMD
+/// shapes, barriers or, for one hart, long loops with data-dependent exits.
 pub fn random_program(rng: &mut Rng, cores: usize, frags: usize) -> Program {
     let mut b = ProgramBuilder::new();
     if cores > 1 {
@@ -155,6 +207,18 @@ pub fn random_program(rng: &mut Rng, cores: usize, frags: usize) -> Program {
     }
     if cores > 1 {
         b.barrier();
+    }
+    b.ecall();
+    b.build().expect("generated program assembles")
+}
+
+/// Builds a one-hart program of `frags` loop fragments (see
+/// [`random_program`]), each long enough for the steady-state memo to
+/// replay and most with a data-dependent early exit that fails a replay.
+pub fn loop_program(rng: &mut Rng, frags: usize) -> Program {
+    let mut b = ProgramBuilder::new();
+    for tag in 0..frags {
+        loop_fragment(&mut b, rng, tag);
     }
     b.ecall();
     b.build().expect("generated program assembles")
