@@ -1,20 +1,24 @@
-//! Runs every experiment and writes `EXPERIMENTS.md` (paper vs measured for
-//! every table and figure, plus the extended suite).
+//! The one driver of the paper's tables: runs every experiment and writes
+//! `EXPERIMENTS.md` (paper vs measured for Table I and every figure, the
+//! extended suite, scaling, overlap and the configuration ablations).
 //!
-//! All measurements run through `snitch-engine` batches (116 simulations
-//! total), fanned across the host cores with one compiled program per
-//! distinct spec.
+//! All measurements run through `snitch-engine` batches, fanned across the
+//! host cores with one compiled program per distinct spec. Every paper
+//! value comes from [`snitch_kernels::paper`]. The ablation claims are
+//! asserted, so a regeneration that breaks one fails loudly.
 
 use std::fmt::Write as _;
 
+use copift::estimate::{i_prime, s_double_prime, s_prime, thread_imbalance, MixCounts};
 use snitch_bench::{
-    extended_tables, fig3_grid, geomean, overlap_rows, overlap_strip, overlap_tables,
-    scaling_grid_rows, scaling_grid_tables, scaling_rows, scaling_tables, Fig2Row, FIG3_BLOCKS,
-    FIG3_SIZES, SCALING_CLUSTERS, SCALING_CORES,
+    config_sweep, extended_tables, fig3_grid, geomean, overlap_rows, overlap_strip, overlap_tables,
+    scaling_grid_rows, scaling_rows, scaling_table, Fig2Row, ScalingRow,
 };
-use snitch_engine::Engine;
+use snitch_engine::job::{FIG3_BLOCKS, FIG3_SIZES, SCALING_CLUSTERS, SCALING_CORES};
+use snitch_engine::{Engine, JobSpec};
 use snitch_kernels::registry::Variant;
-use snitch_kernels::Kernel;
+use snitch_kernels::{paper, Kernel, SteadyState};
+use snitch_sim::config::ClusterConfig;
 
 fn main() {
     let mut out = String::new();
@@ -30,28 +34,23 @@ fn main() {
          factor, and where the trends bend.\n"
     );
 
-    // ---- Figure 2 ----
     let engine = Engine::default();
     let rows: Vec<Fig2Row> = Fig2Row::measure_all(&engine);
-    let paper_ipc =
-        [(0.96, 1.24), (0.96, 1.36), (0.86, 1.50), (0.89, 1.75), (0.92, 1.48), (0.92, 1.63)];
-    let paper_power =
-        [(37.9, 39.0), (37.4, 38.4), (41.5, 43.6), (38.7, 40.1), (42.1, 45.1), (41.8, 46.2)];
-    let paper_speedup = [1.15, 1.26, 1.32, 1.58, 1.62, 2.05];
-    let paper_energy = [1.12, 1.22, 1.17, 1.34, 1.61, 1.93];
+    table1(&mut out, &rows);
 
+    // ---- Figure 2 ----
     let _ = writeln!(out, "## Figure 2a — steady-state IPC\n");
     let _ =
         writeln!(out, "| kernel | base (paper) | base (ours) | COPIFT (paper) | COPIFT (ours) |");
     let _ = writeln!(out, "|---|---|---|---|---|");
-    for (r, p) in rows.iter().zip(paper_ipc) {
+    for (r, p) in rows.iter().zip(paper::FIG2) {
         let _ = writeln!(
             out,
             "| {} | {:.2} | {:.2} | {:.2} | {:.2} |",
             r.kernel.name(),
-            p.0,
+            p.ipc.0,
             r.base.ipc,
-            p.1,
+            p.ipc.1,
             r.copift.ipc
         );
     }
@@ -59,27 +58,34 @@ fn main() {
     let peak = rows.iter().map(|r| r.copift.ipc).fold(0.0f64, f64::max);
     let _ = writeln!(
         out,
-        "\nGeomean IPC gain **{:.2}×** (paper 1.62×); peak IPC **{peak:.2}** (paper 1.75).\n",
-        geomean(&gains)
+        "\nGeomean IPC gain **{:.2}×** (paper {:.2}×); peak IPC **{peak:.2}** (paper {:.2}).\n",
+        geomean(&gains),
+        paper::GEOMEANS.ipc_gain,
+        paper::peak_ipc(),
     );
 
     let _ = writeln!(out, "## Figure 2b — average power (mW)\n");
     let _ =
         writeln!(out, "| kernel | base (paper) | base (ours) | COPIFT (paper) | COPIFT (ours) |");
     let _ = writeln!(out, "|---|---|---|---|---|");
-    for (r, p) in rows.iter().zip(paper_power) {
+    for (r, p) in rows.iter().zip(paper::FIG2) {
         let _ = writeln!(
             out,
             "| {} | {:.1} | {:.1} | {:.1} | {:.1} |",
             r.kernel.name(),
-            p.0,
+            p.power_mw.0,
             r.base.power_mw,
-            p.1,
+            p.power_mw.1,
             r.copift.power_mw
         );
     }
     let ratios: Vec<f64> = rows.iter().map(Fig2Row::power_ratio).collect();
-    let _ = writeln!(out, "\nGeomean power ratio **{:.3}×** (paper 1.07×).\n", geomean(&ratios));
+    let _ = writeln!(
+        out,
+        "\nGeomean power ratio **{:.3}×** (paper {:.2}×).\n",
+        geomean(&ratios),
+        paper::GEOMEANS.power_ratio
+    );
 
     let _ = writeln!(out, "## Figure 2c — speedup and energy improvement\n");
     let _ = writeln!(
@@ -87,26 +93,42 @@ fn main() {
         "| kernel | speedup (paper) | speedup (ours) | energy imp. (paper) | energy imp. (ours) |"
     );
     let _ = writeln!(out, "|---|---|---|---|---|");
-    for ((r, ps), pe) in rows.iter().zip(paper_speedup).zip(paper_energy) {
+    for (r, p) in rows.iter().zip(paper::FIG2) {
         let _ = writeln!(
             out,
             "| {} | {:.2} | {:.2} | {:.2} | {:.2} |",
             r.kernel.name(),
-            ps,
+            p.speedup,
             r.speedup(),
-            pe,
+            p.energy,
             r.energy_improvement()
         );
     }
     let sp: Vec<f64> = rows.iter().map(Fig2Row::speedup).collect();
     let ei: Vec<f64> = rows.iter().map(Fig2Row::energy_improvement).collect();
+    let peak = paper::peak_speedup();
     let _ = writeln!(
         out,
-        "\nGeomean speedup **{:.2}×** (paper 1.47×); geomean energy improvement \
-         **{:.2}×** (paper 1.37×); peak speedup **{:.2}×** (paper 2.05× on `exp`).\n",
+        "\nGeomean speedup **{:.2}×** (paper {:.2}×); geomean energy improvement \
+         **{:.2}×** (paper {:.2}×); peak speedup **{:.2}×** (paper {:.2}× on `{}`).\n",
         geomean(&sp),
+        paper::GEOMEANS.speedup,
         geomean(&ei),
-        sp.iter().fold(0.0f64, |a, &b| a.max(b))
+        paper::GEOMEANS.energy,
+        sp.iter().fold(0.0f64, |a, &b| a.max(b)),
+        peak.speedup,
+        peak.kernel.name(),
+    );
+    let fig2 = rows.iter().zip(paper::FIG2);
+    let _ = writeln!(
+        out,
+        "Mean absolute error vs the paper: IPC **{:.2}%** (12 bars), speedup **{:.2}%**, \
+         energy improvement **{:.2}%** (6 bars each).\n",
+        paper::mape_pct(
+            fig2.clone().flat_map(|(r, p)| [(r.base.ipc, p.ipc.0), (r.copift.ipc, p.ipc.1)])
+        ),
+        paper::mape_pct(fig2.clone().map(|(r, p)| (r.speedup(), p.speedup))),
+        paper::mape_pct(fig2.map(|(r, p)| (r.energy_improvement(), p.energy))),
     );
 
     // ---- Figure 3 ----
@@ -144,8 +166,7 @@ fn main() {
         out,
         "Steady-state measurements for the auto-compiled catalog kernels\n\
          (`copift::codegen` applied to plain loop bodies; no paper reference\n\
-         exists). Regenerate alone with\n\
-         `cargo run --release -p snitch-bench --bin extended`, or sweep with\n\
+         exists). Sweep the same jobs with\n\
          `cargo run --release -p snitch-engine --bin sweep -- extended`.\n"
     );
     let ext_rows = Fig2Row::measure_suite(&engine, &Kernel::extended());
@@ -174,15 +195,13 @@ fn main() {
          across harts with mid-stream seed tables, hardware barrier, TCDM tree\n\
          reduction) at n = {sn}, block = {sblock}, over {SCALING_CORES:?} compute\n\
          cores sharing the banked TCDM. Every cell validates **bit-exactly**\n\
-         against the single-core golden model (DESIGN.md §11). Regenerate alone\n\
-         with `cargo run --release -p snitch-bench --bin scaling`, or sweep with\n\
-         `cargo run --release -p snitch-engine --bin sweep -- scaling`.\n"
+         against the single-core golden model (DESIGN.md §11). Sweep the same\n\
+         jobs with `cargo run --release -p snitch-engine --bin sweep -- scaling`.\n"
     );
     let srows = scaling_rows(&engine);
-    out.push_str(&scaling_tables(&srows));
-    let last = SCALING_CORES.len() - 1;
-    let top = SCALING_CORES[last];
-    let s8: Vec<f64> = srows.iter().map(|r| r.speedup(last)).collect();
+    out.push_str(&scaling_table(&srows, false, ("conflicts", |s| s.tcdm_conflicts)));
+    let top = SCALING_CORES[SCALING_CORES.len() - 1];
+    let s8: Vec<f64> = srows.iter().map(ScalingRow::speedup).collect();
     let _ = writeln!(
         out,
         "\nGeomean {top}-core speedup **{:.2}×** (ideal {top}×). The gap to ideal is the\n\
@@ -204,12 +223,11 @@ fn main() {
          {SCALING_CLUSTERS:?} clusters. Every cell validates **bit-exactly**\n\
          against the single-cluster golden model (DESIGN.md §18); the DMA hop\n\
          cycles column counts the modeled L2/interconnect setup latency the\n\
-         tiles paid in transit. Regenerate alone with\n\
-         `cargo run --release -p snitch-bench --bin scaling`, or sweep with\n\
+         tiles paid in transit. Sweep the same jobs with\n\
          `cargo run --release -p snitch-engine --bin sweep -- scaling-grid`.\n"
     );
     let grows = scaling_grid_rows(&engine);
-    out.push_str(&scaling_grid_tables(&grows));
+    out.push_str(&scaling_table(&grows, true, ("DMA hop cycles", |s| s.dma_hop_cycles)));
     let _ = writeln!(
         out,
         "\nWithin a fixed cluster count, cores scale the compute loop; adding\n\
@@ -232,8 +250,9 @@ fn main() {
          construction; every COPIFT variant shows substantial concurrent lane\n\
          occupancy. \"Steady IPC\" is the automatic steady-state window (the longest\n\
          near-peak-throughput plateau, trimming prologue, per-block fences and\n\
-         epilogue). Six paper kernels at their smoke points, hart 0; regenerate\n\
-         with `cargo run --release -p snitch-bench --bin overlap`.\n"
+         epilogue). Six paper kernels at their smoke points, hart 0; one run's\n\
+         full timeline comes from the `trace` CLI, e.g.\n\
+         `cargo run --release -p snitch-engine --bin trace -- --kernel pi_lcg`.\n"
     );
     let orows = overlap_rows(&engine);
     out.push_str(&overlap_tables(&orows));
@@ -259,6 +278,8 @@ fn main() {
          tables can never tell different stories.\n"
     );
 
+    ablations(&mut out, &engine);
+
     // ---- Host time (committed measurements, not regenerated here) ----
     out.push_str(host_time_sections(COMMITTED));
 
@@ -272,7 +293,8 @@ fn main() {
            construction of two anchor points; per-kernel values are measured.\n\
          * The FREP sequencer ring holds 128 entries (Snitch's is smaller); the\n\
            paper's COPIFT branch also requires bodies of up to 80 instructions.\n\
-           `ablation_seq_depth` quantifies the sensitivity.\n\
+           The FREP sequencer ring rows of the Ablations section quantify the\n\
+           sensitivity.\n\
          * `logf` is TCDM-resident (no DMA streaming), so its baseline power is\n\
            slightly lower than the paper's 42.1 mW.\n\
          * Instruction counts differ by a few ops/element where the paper's\n\
@@ -297,4 +319,138 @@ fn host_time_sections(doc: &str) -> &str {
     let find =
         |heading| doc.find(heading).unwrap_or_else(|| panic!("EXPERIMENTS.md: no `{heading}`"));
     &doc[find("## Where the host time goes")..find("## Substitutions and deviations")]
+}
+
+/// A steady state's instruction mix per Table I unit: 8 points for the
+/// Monte Carlo kernels, 4 elements for the vector kernels.
+fn mix_per_unit(kernel: Kernel, ss: &SteadyState) -> MixCounts {
+    let elems = ss.delta.cycles as f64 / ss.cycles_per_elem;
+    let scale = if kernel.is_mc() { 8.0 } else { 4.0 } / elems;
+    MixCounts {
+        n_int: (ss.delta.int_issued as f64 * scale).round() as u64,
+        n_fp: (ss.delta.fp_instructions() as f64 * scale).round() as u64,
+    }
+}
+
+/// The Table I section: measured per-unit mixes and the Eq. 1–3 estimators
+/// beside the paper's, then the Fig. 1b buffer plan.
+fn table1(out: &mut String, rows: &[Fig2Row]) {
+    let _ = writeln!(out, "## Table I — instruction mixes and estimators\n");
+    let _ = writeln!(
+        out,
+        "Steady-state instruction mixes per unit of work (4 elements for the\n\
+         vector kernels, 8 points for Monte Carlo), measured from the Figure 2\n\
+         runs, with the thread imbalance TI and the Eq. 1–3 estimators evaluated\n\
+         on them. Each cell reads *paper / ours*; a mix is `#int + #FP`.\n"
+    );
+    let _ = writeln!(out, "| kernel | base mix | TI | COPIFT mix | I′ | S″ | S′ |");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    let m = |x: MixCounts| format!("{} + {}", x.n_int, x.n_fp);
+    for (r, p) in rows.iter().zip(paper::TABLE1) {
+        let base = mix_per_unit(r.kernel, &r.base);
+        let cop = mix_per_unit(r.kernel, &r.copift);
+        let _ = writeln!(
+            out,
+            "| {} | {} / {} | {:.2} / {:.2} | {} / {} | {:.2} / {:.2} | {:.2} / {:.2} | {:.2} / {:.2} |",
+            r.kernel.name(),
+            m(p.base),
+            m(base),
+            p.ti,
+            thread_imbalance(base),
+            m(p.copift),
+            m(cop),
+            p.i_prime,
+            i_prime(cop),
+            p.s_double_prime,
+            s_double_prime(base),
+            p.s_prime,
+            s_prime(base, cop),
+        );
+    }
+    let analysis =
+        copift::analyze(&copift::dfg::fig1b_expf_body()).expect("the Fig. 1b body analyzes");
+    let tiling = &analysis.tiling;
+    let _ = writeln!(
+        out,
+        "\nBuffer plan of the paper's Fig. 1b `expf` body (Steps 2, 4–5): {} phases,\n\
+         {} cut edges, {} buffers, {} B per element; the largest block that fits\n\
+         L1 with 16 KiB reserved is {} elements.\n",
+        analysis.partition.len(),
+        analysis.partition.cut_edges.len(),
+        tiling.buffers.len(),
+        tiling.bytes_per_element(),
+        tiling.max_block(128 * 1024, 16 * 1024),
+    );
+    let _ = writeln!(out, "| buffer | B/element | phases | replicas |");
+    let _ = writeln!(out, "|---|---|---|---|");
+    for b in &tiling.buffers {
+        let _ = writeln!(
+            out,
+            "| `{:?}` | {} | {} → {} | {} |",
+            b.kind, b.elem_bytes, b.producer, b.consumer, b.replicas
+        );
+    }
+    out.push('\n');
+}
+
+/// The Ablations section: configuration sweeps over the design choices
+/// DESIGN.md §4 calls out, each one job replicated across cluster
+/// configurations. The claims are asserted.
+fn ablations(out: &mut String, engine: &Engine) {
+    let _ = writeln!(out, "## Ablations — cluster configuration sweeps\n");
+    let _ = writeln!(
+        out,
+        "One job per ablation, replicated across cluster configurations (one\n\
+         compiled program per job). Asserted on every regeneration: a second\n\
+         integer write-back port removes the LCG baselines' structural-hazard\n\
+         stalls, and a deeper offload FIFO never slows the kernel.\n"
+    );
+    let _ = writeln!(out, "| ablation | job | setting | cycles | L0 hits | L0 misses |");
+    let _ = writeln!(out, "|---|---|---|---|---|---|");
+    let poly = JobSpec::new(Kernel::PolyLcg, Variant::Copift, 512, 128);
+    /// One ablation: its name, the job, how a setting configures the
+    /// cluster, and the settings swept.
+    type Sweep = (&'static str, JobSpec, fn(&mut ClusterConfig, usize), &'static [usize]);
+    let sweeps: [Sweep; 4] = [
+        (
+            "integer write-back ports",
+            JobSpec::new(Kernel::PiLcg, Variant::Baseline, 512, 0),
+            |c, v| c.int_wb_ports = v as u32,
+            &[1, 2],
+        ),
+        (
+            "L0 capacity",
+            JobSpec::new(Kernel::Expf, Variant::Baseline, 256, 32),
+            |c, v| c.l0_capacity = v,
+            &[32, 64, 128],
+        ),
+        ("offload FIFO depth", poly.clone(), |c, v| c.offload_fifo_depth = v, &[2, 8, 16]),
+        ("FREP sequencer ring", poly, |c, v| c.sequencer_depth = v, &[80, 128]),
+    ];
+    let cycles = sweeps.map(|(name, job, set, values)| {
+        let configs: Vec<ClusterConfig> = values
+            .iter()
+            .map(|&v| {
+                let mut c = ClusterConfig::default();
+                set(&mut c, v);
+                c
+            })
+            .collect();
+        let stats = config_sweep(engine, &job, &configs);
+        for (v, s) in values.iter().zip(&stats) {
+            let _ = writeln!(
+                out,
+                "| {name} | `{}` | {v} | {} | {} | {} |",
+                job.label(),
+                s.cycles,
+                s.l0_hits,
+                s.l0_misses
+            );
+        }
+        stats.iter().map(|s| s.cycles).collect::<Vec<u64>>()
+    });
+    let [wb, _, fifo, _] = &cycles;
+    assert!(wb[1] < wb[0], "a second write-back port must remove LCG stalls");
+    assert!(fifo[0] >= fifo[1], "a deeper FIFO must never slow the kernel");
+    out.push('\n');
 }

@@ -1,32 +1,32 @@
-//! Shared measurement code for the experiment drivers that regenerate the
-//! COPIFT paper's Table I and Figures 2–3.
+//! Measurement code for the `experiments` driver, which regenerates the
+//! COPIFT paper's Table I and Figures 2–3 in `EXPERIMENTS.md`.
 //!
-//! All batched measurements run through [`snitch_engine`]: the drivers
-//! expand their experiment matrix into a job batch, the engine fans the
+//! All batched measurements run through [`snitch_engine`]: each section
+//! expands its experiment matrix into a job batch, the engine fans the
 //! batch across worker threads (caching compiled programs), and the
 //! steady-state derivations here consume the ordered records. This module
 //! is the **only** place steady-state measure logic lives.
 
 #![forbid(unsafe_code)]
 
-use snitch_engine::{job, Engine, RunRecord};
+use copift::estimate::{self, MixCounts};
+use snitch_engine::job::{FIG3_BLOCKS, SCALING_CORES};
+use snitch_engine::{job, Engine, JobSpec, RunRecord};
 use snitch_kernels::harness::steady_state;
 use snitch_kernels::registry::{Kernel, Variant};
 use snitch_kernels::SteadyState;
+use snitch_sim::config::ClusterConfig;
 use snitch_sim::stats::Stats;
 
-/// Steady-state measurement of one (kernel, variant) pair at its Figure 2
-/// operating point, derived by differencing two problem sizes.
+/// Runs `job` once per cluster configuration (sharing one compiled
+/// program) and returns the stats in `configs` order.
 ///
 /// # Panics
 ///
-/// Panics if either run fails validation (reproduction bugs should be loud).
+/// Panics if any run fails validation.
 #[must_use]
-pub fn measure_steady(kernel: Kernel, variant: Variant) -> SteadyState {
-    let (n, block) = kernel.operating_point();
-    let small = kernel.run(variant, n, block).expect("small run validates");
-    let large = kernel.run(variant, 2 * n, block).expect("large run validates");
-    steady_state(&small.stats, n, &large.stats, 2 * n)
+pub fn config_sweep(engine: &Engine, job: &JobSpec, configs: &[ClusterConfig]) -> Vec<Stats> {
+    engine.run(&job::config_sweep(job, configs)).iter().map(|r| stats_of(r).clone()).collect()
 }
 
 /// The stats of a record, panicking loudly on a failed job.
@@ -53,19 +53,9 @@ pub struct Fig2Row {
 }
 
 impl Fig2Row {
-    /// Measures one kernel serially.
-    #[must_use]
-    pub fn measure(kernel: Kernel) -> Fig2Row {
-        Fig2Row {
-            kernel,
-            base: measure_steady(kernel, Variant::Baseline),
-            copift: measure_steady(kernel, Variant::Copift),
-        }
-    }
-
     /// Measures the paper's six kernels as one engine batch (24 simulations
-    /// fanned across the engine's workers). Results are identical to six
-    /// serial [`measure`](Self::measure) calls; only wall-clock differs.
+    /// fanned across the engine's workers). Results are identical to
+    /// measuring each kernel serially; only wall-clock differs.
     ///
     /// # Panics
     ///
@@ -79,7 +69,7 @@ impl Fig2Row {
     /// extended suite, or the whole catalog) as one engine batch of
     /// steady-state pairs, four simulations per kernel. Kernels that don't
     /// support the `(n, 2n)` methodology ([`Kernel::steady_measurable`])
-    /// are skipped — the scaling-grid driver measures those.
+    /// are skipped — the scaling grid measures those.
     ///
     /// # Panics
     ///
@@ -127,25 +117,23 @@ impl Fig2Row {
     /// (Eq. 2 evaluated on dynamic counts).
     #[must_use]
     pub fn i_prime(&self) -> f64 {
-        let d = &self.copift.delta;
-        let n_int = d.int_issued as f64;
-        let n_fp = d.fp_instructions() as f64;
-        (n_int + n_fp) / n_int.max(n_fp)
+        estimate::i_prime(dynamic_mix(&self.copift))
     }
 
     /// Expected speedup `S′` from measured mixes (Eq. 1).
     #[must_use]
     pub fn s_prime(&self) -> f64 {
-        let b = &self.base.delta;
-        let c = &self.copift.delta;
-        (b.int_issued + b.fp_instructions()) as f64
-            / (c.int_issued as f64).max(c.fp_instructions() as f64)
+        estimate::s_prime(dynamic_mix(&self.base), dynamic_mix(&self.copift))
     }
 }
 
+/// The dynamic instruction mix of a steady state's measured window.
+fn dynamic_mix(ss: &SteadyState) -> MixCounts {
+    MixCounts { n_int: ss.delta.int_issued, n_fp: ss.delta.fp_instructions() }
+}
+
 /// Renders extended-suite measurement rows as the EXPERIMENTS.md markdown
-/// table (shared by the `extended` driver and the `experiments` generator so
-/// the committed file and the ad-hoc driver can never drift apart).
+/// table.
 #[must_use]
 pub fn extended_tables(rows: &[Fig2Row]) -> String {
     use std::fmt::Write as _;
@@ -173,32 +161,45 @@ pub fn extended_tables(rows: &[Fig2Row]) -> String {
     out
 }
 
-/// The core counts swept by the cluster-scaling driver (re-exported from
-/// the engine's canonical batch definition, so the sweep CLI's `scaling`
-/// preset and this driver can never drift apart).
-pub use snitch_engine::job::SCALING_CORES;
-
-/// One row of the cluster-scaling table: full-run cycles of one
-/// `(kernel, variant)` at every core count of [`SCALING_CORES`], plus the
-/// TCDM conflict counts that prove the harts actually contend.
+/// One row of a scaling table: the stats of one `(kernel, variant)` at one
+/// cluster count, for every core count of [`SCALING_CORES`] in order.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
-    /// Data-parallel kernel.
+    /// Kernel.
     pub kernel: Kernel,
     /// Code variant.
     pub variant: Variant,
-    /// Total cycles per core count (same order as [`SCALING_CORES`]).
-    pub cycles: Vec<u64>,
-    /// TCDM bank conflicts per core count.
-    pub conflicts: Vec<u64>,
+    /// Cluster count of this row.
+    pub clusters: usize,
+    /// Stats per core count.
+    pub stats: Vec<Stats>,
 }
 
 impl ScalingRow {
-    /// Parallel speedup at `cores_index` relative to the single-core run.
+    /// Parallel speedup at the top core count relative to the row's
+    /// single-core run (scaling within a fixed cluster count).
     #[must_use]
-    pub fn speedup(&self, cores_index: usize) -> f64 {
-        self.cycles[0] as f64 / self.cycles[cores_index] as f64
+    pub fn speedup(&self) -> f64 {
+        self.stats[0].cycles as f64 / self.stats[self.stats.len() - 1].cycles as f64
     }
+}
+
+/// Runs a scaling batch whose core counts are innermost, one row per
+/// [`SCALING_CORES`]-long chunk.
+fn scaling_rows_of(engine: &Engine, jobs: &[JobSpec]) -> Vec<ScalingRow> {
+    let records = engine.run(jobs);
+    records
+        .chunks_exact(SCALING_CORES.len())
+        .map(|chunk| {
+            let job = &chunk[0].job;
+            ScalingRow {
+                kernel: job.kernel,
+                variant: job.variant,
+                clusters: job.config.clusters,
+                stats: chunk.iter().map(|r| stats_of(r).clone()).collect(),
+            }
+        })
+        .collect()
 }
 
 /// Measures the data-parallel kernels over the [`SCALING_CORES`] axis at
@@ -212,84 +213,12 @@ impl ScalingRow {
 /// Panics if any run fails validation.
 #[must_use]
 pub fn scaling_rows(engine: &Engine) -> Vec<ScalingRow> {
-    let kernels = job::scaling_kernels();
-    let jobs = job::scaling_default();
-    let records = engine.run(&jobs);
-    let mut rows = Vec::with_capacity(kernels.len() * 2);
-    let mut chunks = records.chunks_exact(SCALING_CORES.len());
-    for &kernel in &kernels {
-        for variant in Variant::all() {
-            let chunk = chunks.next().expect("scaling batch is kernel x variant x cores");
-            rows.push(ScalingRow {
-                kernel,
-                variant,
-                cycles: chunk.iter().map(|r| stats_of(r).cycles).collect(),
-                conflicts: chunk.iter().map(|r| stats_of(r).tcdm_conflicts).collect(),
-            });
-        }
-    }
-    rows
+    scaling_rows_of(engine, &job::scaling_default())
 }
 
-/// Renders cluster-scaling rows as the EXPERIMENTS.md markdown table
-/// (shared by the `scaling` driver and the `experiments` generator).
-#[must_use]
-pub fn scaling_tables(rows: &[ScalingRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut header = String::from("| kernel | variant |");
-    for c in SCALING_CORES {
-        let _ = write!(header, " {c} core{} |", if c == 1 { "" } else { "s" });
-    }
-    let top = SCALING_CORES[SCALING_CORES.len() - 1];
-    let _ = writeln!(out, "{header} speedup @{top} | conflicts @{top} |");
-    let _ = writeln!(out, "|{}", "---|".repeat(SCALING_CORES.len() + 4));
-    for r in rows {
-        let mut line = format!("| {} | {} |", r.kernel.name(), r.variant.name());
-        for &cycles in &r.cycles {
-            let _ = write!(line, " {cycles} |");
-        }
-        let last = SCALING_CORES.len() - 1;
-        let _ = writeln!(out, "{line} {:.2}× | {} |", r.speedup(last), r.conflicts[last]);
-    }
-    out
-}
-
-/// The cluster counts swept by the 2-D scaling grid (re-exported from the
-/// engine's canonical batch definition, so the sweep CLI's `scaling-grid`
-/// preset and the drivers can never drift apart).
-pub use snitch_engine::job::SCALING_CLUSTERS;
-
-/// One row of the cores × clusters scaling table: full-run cycles of one
-/// `(kernel, variant)` at one cluster count over every core count of
-/// [`SCALING_CORES`], plus the inter-cluster DMA hop cycles that prove the
-/// tiles actually travelled over the system interconnect.
-#[derive(Clone, Debug)]
-pub struct ScalingGridRow {
-    /// Tiled kernel.
-    pub kernel: Kernel,
-    /// Code variant.
-    pub variant: Variant,
-    /// Cluster count of this row.
-    pub clusters: usize,
-    /// Total cycles per core count (same order as [`SCALING_CORES`]).
-    pub cycles: Vec<u64>,
-    /// Inter-cluster/L2 DMA hop cycles per core count.
-    pub dma_hop_cycles: Vec<u64>,
-}
-
-impl ScalingGridRow {
-    /// Parallel speedup at `cores_index` relative to the row's single-core
-    /// run (scaling within a fixed cluster count).
-    #[must_use]
-    pub fn speedup(&self, cores_index: usize) -> f64 {
-        self.cycles[0] as f64 / self.cycles[cores_index] as f64
-    }
-}
-
-/// Measures the tiled GEMM over the [`SCALING_CORES`] × [`SCALING_CLUSTERS`]
-/// grid at its operating point, as one engine batch (one compiled program
-/// per grid shape). Every run validates bit-exactly against the
+/// Measures the tiled GEMM over the [`SCALING_CORES`] ×
+/// [`SCALING_CLUSTERS`](job::SCALING_CLUSTERS) grid at its operating point,
+/// as one engine batch (one compiled program per grid shape). Every run validates bit-exactly against the
 /// single-cluster golden model — the decomposition guarantee of the
 /// block-cyclic row ownership (DESIGN.md §18).
 ///
@@ -297,48 +226,42 @@ impl ScalingGridRow {
 ///
 /// Panics if any run fails validation.
 #[must_use]
-pub fn scaling_grid_rows(engine: &Engine) -> Vec<ScalingGridRow> {
-    let jobs = job::scaling_grid_default();
-    let records = engine.run(&jobs);
-    // scaling_grid() is kernel-major, then variant, then clusters, with
-    // cores innermost: each chunk is one table row.
-    let mut rows = Vec::new();
-    let mut chunks = records.chunks_exact(SCALING_CORES.len());
-    for variant in Variant::all() {
-        for &clusters in &SCALING_CLUSTERS {
-            let chunk = chunks.next().expect("grid batch is variant x clusters x cores");
-            rows.push(ScalingGridRow {
-                kernel: Kernel::GemmTiled,
-                variant,
-                clusters,
-                cycles: chunk.iter().map(|r| stats_of(r).cycles).collect(),
-                dma_hop_cycles: chunk.iter().map(|r| stats_of(r).dma_hop_cycles).collect(),
-            });
-        }
-    }
-    rows
+pub fn scaling_grid_rows(engine: &Engine) -> Vec<ScalingRow> {
+    scaling_rows_of(engine, &job::scaling_grid_default())
 }
 
-/// Renders cores × clusters scaling rows as the EXPERIMENTS.md markdown
-/// table (shared by the `scaling` driver and the `experiments` generator).
+/// Renders scaling rows as an EXPERIMENTS.md markdown table: cycles per
+/// core count, the speedup at the top count, and the `top` column (name,
+/// counter) of the top-count run. `with_clusters` adds a clusters column.
 #[must_use]
-pub fn scaling_grid_tables(rows: &[ScalingGridRow]) -> String {
+pub fn scaling_table(
+    rows: &[ScalingRow],
+    with_clusters: bool,
+    top: (&str, fn(&Stats) -> u64),
+) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let mut header = String::from("| kernel | variant | clusters |");
+    let mut header = String::from("| kernel | variant |");
+    if with_clusters {
+        header.push_str(" clusters |");
+    }
     for c in SCALING_CORES {
         let _ = write!(header, " {c} core{} |", if c == 1 { "" } else { "s" });
     }
-    let top = SCALING_CORES[SCALING_CORES.len() - 1];
-    let _ = writeln!(out, "{header} speedup @{top} | DMA hop cycles @{top} |");
-    let _ = writeln!(out, "|{}", "---|".repeat(SCALING_CORES.len() + 5));
+    let cores = SCALING_CORES[SCALING_CORES.len() - 1];
+    let _ = writeln!(out, "{header} speedup @{cores} | {} @{cores} |", top.0);
+    let columns = SCALING_CORES.len() + 4 + usize::from(with_clusters);
+    let _ = writeln!(out, "|{}", "---|".repeat(columns));
     for r in rows {
-        let mut line = format!("| {} | {} | {} |", r.kernel.name(), r.variant.name(), r.clusters);
-        for &cycles in &r.cycles {
-            let _ = write!(line, " {cycles} |");
+        let mut line = format!("| {} | {} |", r.kernel.name(), r.variant.name());
+        if with_clusters {
+            let _ = write!(line, " {} |", r.clusters);
         }
-        let last = SCALING_CORES.len() - 1;
-        let _ = writeln!(out, "{line} {:.2}× | {} |", r.speedup(last), r.dma_hop_cycles[last]);
+        for s in &r.stats {
+            let _ = write!(line, " {} |", s.cycles);
+        }
+        let last = &r.stats[r.stats.len() - 1];
+        let _ = writeln!(out, "{line} {:.2}× | {} |", r.speedup(), (top.1)(last));
     }
     out
 }
@@ -371,11 +294,10 @@ pub fn fig3_grid(engine: &Engine) -> Vec<Vec<f64>> {
         .collect()
 }
 
-pub use snitch_engine::job::{FIG3_BLOCKS, FIG3_SIZES};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snitch_engine::job::FIG3_SIZES;
 
     #[test]
     fn geomean_of_constants() {
@@ -398,8 +320,14 @@ mod tests {
     fn engine_rows_match_serial_measurement() {
         // The engine path must reproduce the serial path bit-for-bit.
         let rows = Fig2Row::measure_all(&Engine::new(2));
-        let serial = Fig2Row::measure(Kernel::PiLcg);
-        let row = rows.iter().find(|r| r.kernel == Kernel::PiLcg).expect("pi_lcg row");
+        let (kernel, (n, block)) = (Kernel::PiLcg, Kernel::PiLcg.operating_point());
+        let serial = |variant| {
+            let run = |n| kernel.run(variant, n, block).expect("run validates").stats;
+            steady_state(&run(n), n, &run(2 * n), 2 * n)
+        };
+        let serial =
+            Fig2Row { kernel, base: serial(Variant::Baseline), copift: serial(Variant::Copift) };
+        let row = rows.iter().find(|r| r.kernel == kernel).expect("pi_lcg row");
         assert_eq!(row.base.delta, serial.base.delta);
         assert_eq!(row.copift.delta, serial.copift.delta);
         assert!((row.speedup() - serial.speedup()).abs() < 1e-12);
@@ -461,9 +389,7 @@ pub fn overlap_rows(engine: &Engine) -> Vec<OverlapRow> {
         .collect()
 }
 
-/// Renders overlap rows as the EXPERIMENTS.md markdown table (shared by
-/// the `overlap` driver and the `experiments` generator so the committed
-/// file and the ad-hoc driver can never drift apart).
+/// Renders overlap rows as the EXPERIMENTS.md markdown table.
 #[must_use]
 pub fn overlap_tables(rows: &[OverlapRow]) -> String {
     use std::fmt::Write as _;

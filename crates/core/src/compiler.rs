@@ -119,11 +119,11 @@ pub fn analyze(body: &[Inst]) -> Result<Analysis, AnalyzeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfg::tests_support::expf_body;
+    use crate::dfg::fig1b_expf_body;
 
     #[test]
     fn full_pipeline_on_expf() {
-        let a = analyze(&expf_body()).unwrap();
+        let a = analyze(&fig1b_expf_body()).unwrap();
         assert_eq!(a.mix.n_int, 10);
         assert_eq!(a.mix.n_fp, 13);
         assert_eq!(a.partition.len(), 3);

@@ -20,10 +20,11 @@
 
 use std::collections::HashMap;
 
+use snitch_asm::builder::ProgramBuilder;
 use snitch_riscv::inst::Inst;
 use snitch_riscv::meta::RegRef;
 use snitch_riscv::ops::AluImmOp;
-use snitch_riscv::reg::IntReg;
+use snitch_riscv::reg::{FpReg, IntReg};
 
 /// Which thread (register file + instruction set) a node belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -385,59 +386,50 @@ fn may_alias(a: SymAddr, a_bytes: u32, b: SymAddr, b_bytes: u32) -> bool {
     }
 }
 
-/// Test-support fixtures shared across this crate's unit tests.
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use snitch_asm::builder::ProgramBuilder;
-    use snitch_riscv::inst::Inst;
-    use snitch_riscv::reg::{FpReg, IntReg};
-
-    /// The paper's Figure 1b expf loop body (one element, pointer bumps
-    /// omitted as in the paper's Step 1 discussion).
-    pub(crate) fn expf_body() -> Vec<Inst> {
-        let mut b = ProgramBuilder::new();
-        let x = IntReg::A3; // input pointer (live-in)
-        let y = IntReg::A4; // output pointer (live-in)
-        let ki = IntReg::S2; // &ki spill slot (live-in)
-        let t = IntReg::S3; // &t spill slot (live-in)
-        let tbl = IntReg::S4; // exp2 table (live-in)
-        b.fld(FpReg::FA3, x, 0); // 1
-        b.fmul_d(FpReg::FA3, FpReg::FA3, FpReg::FS4); // 2  x*InvLn2N
-        b.fadd_d(FpReg::FA1, FpReg::FA3, FpReg::FS5); // 3  +SHIFT
-        b.fsd(FpReg::FA1, ki, 0); // 4
-        b.lw(IntReg::A0, ki, 0); // 5
-        b.andi(IntReg::A1, IntReg::A0, 0x1f); // 6
-        b.slli(IntReg::A1, IntReg::A1, 3); // 7
-        b.add(IntReg::A1, tbl, IntReg::A1); // 8
-        b.lw(IntReg::A2, IntReg::A1, 0); // 9
-        b.lw(IntReg::A1, IntReg::A1, 4); // 10
-        b.slli(IntReg::A0, IntReg::A0, 0xf); // 11
-        b.sw(IntReg::A2, t, 0); // 12
-        b.add(IntReg::A0, IntReg::A0, IntReg::A1); // 13
-        b.sw(IntReg::A0, t, 4); // 14
-        b.fsub_d(FpReg::FA2, FpReg::FA1, FpReg::FS5); // 15
-        b.fsub_d(FpReg::FA3, FpReg::FA3, FpReg::FA2); // 16
-        b.fmadd_d(FpReg::FA2, FpReg::FS6, FpReg::FA3, FpReg::FS7); // 17
-        b.fld(FpReg::FA0, t, 0); // 18
-        b.fmadd_d(FpReg::FA4, FpReg::FS8, FpReg::FA3, FpReg::FS9); // 19
-        b.fmul_d(FpReg::FA1, FpReg::FA3, FpReg::FA3); // 20
-        b.fmadd_d(FpReg::FA4, FpReg::FA2, FpReg::FA1, FpReg::FA4); // 21
-        b.fmul_d(FpReg::FA4, FpReg::FA4, FpReg::FA0); // 22
-        b.fsd(FpReg::FA4, y, 0); // 23
-        b.build().unwrap().text().to_vec()
-    }
+/// The paper's Figure 1b expf loop body (one element, pointer bumps
+/// omitted as in the paper's Step 1 discussion): the worked example that
+/// [`crate::analyze`] and the experiment drivers run Steps 1–7 on.
+#[must_use]
+pub fn fig1b_expf_body() -> Vec<Inst> {
+    let mut b = ProgramBuilder::new();
+    let x = IntReg::A3; // input pointer (live-in)
+    let y = IntReg::A4; // output pointer (live-in)
+    let ki = IntReg::S2; // &ki spill slot (live-in)
+    let t = IntReg::S3; // &t spill slot (live-in)
+    let tbl = IntReg::S4; // exp2 table (live-in)
+    b.fld(FpReg::FA3, x, 0); // 1
+    b.fmul_d(FpReg::FA3, FpReg::FA3, FpReg::FS4); // 2  x*InvLn2N
+    b.fadd_d(FpReg::FA1, FpReg::FA3, FpReg::FS5); // 3  +SHIFT
+    b.fsd(FpReg::FA1, ki, 0); // 4
+    b.lw(IntReg::A0, ki, 0); // 5
+    b.andi(IntReg::A1, IntReg::A0, 0x1f); // 6
+    b.slli(IntReg::A1, IntReg::A1, 3); // 7
+    b.add(IntReg::A1, tbl, IntReg::A1); // 8
+    b.lw(IntReg::A2, IntReg::A1, 0); // 9
+    b.lw(IntReg::A1, IntReg::A1, 4); // 10
+    b.slli(IntReg::A0, IntReg::A0, 0xf); // 11
+    b.sw(IntReg::A2, t, 0); // 12
+    b.add(IntReg::A0, IntReg::A0, IntReg::A1); // 13
+    b.sw(IntReg::A0, t, 4); // 14
+    b.fsub_d(FpReg::FA2, FpReg::FA1, FpReg::FS5); // 15
+    b.fsub_d(FpReg::FA3, FpReg::FA3, FpReg::FA2); // 16
+    b.fmadd_d(FpReg::FA2, FpReg::FS6, FpReg::FA3, FpReg::FS7); // 17
+    b.fld(FpReg::FA0, t, 0); // 18
+    b.fmadd_d(FpReg::FA4, FpReg::FS8, FpReg::FA3, FpReg::FS9); // 19
+    b.fmul_d(FpReg::FA1, FpReg::FA3, FpReg::FA3); // 20
+    b.fmadd_d(FpReg::FA4, FpReg::FA2, FpReg::FA1, FpReg::FA4); // 21
+    b.fmul_d(FpReg::FA4, FpReg::FA4, FpReg::FA0); // 22
+    b.fsd(FpReg::FA4, y, 0); // 23
+    b.build().expect("the Fig. 1b body assembles").text().to_vec()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::expf_body;
     use super::*;
-    use snitch_asm::builder::ProgramBuilder;
-    use snitch_riscv::reg::FpReg;
 
     #[test]
     fn domains_match_instruction_sets() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         let n_fp = dfg.domains().iter().filter(|d| **d == Domain::Fp).count();
         let n_int = dfg.domains().iter().filter(|d| **d == Domain::Int).count();
@@ -447,7 +439,7 @@ mod tests {
 
     #[test]
     fn expf_cross_edges_match_paper() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         // Paper Fig. 1c: fsd ki → lw ki (4→5), sw t → fld t (12→18, 14→18).
         // 0-based: 3→4, 11→17, 13→17, all static (Type 2).
@@ -547,7 +539,7 @@ mod tests {
 
     #[test]
     fn expf_fp_accesses_are_spills_and_io() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         // 4 FP memory ops: fld x, fsd ki, fld t, fsd y (pointer bumps are
         // omitted in the Fig. 1b excerpt, so x/y classify as static too).

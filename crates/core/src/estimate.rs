@@ -9,6 +9,9 @@
 //! * `S″ = I″ = 1 + TI`, with thread imbalance
 //!   `TI = min(n_int, n_fp) / max(n_int, n_fp)` over the *baseline* counts
 //!   (Eq. 3, using `a + b = max(a,b) + min(a,b)`).
+//!
+//! The paper's Table I values live in `snitch_kernels::paper`, whose tests
+//! check that these estimators reproduce them.
 
 use snitch_riscv::inst::Inst;
 
@@ -80,52 +83,6 @@ mod tests {
 
     fn mix(n_int: u64, n_fp: u64) -> MixCounts {
         MixCounts { n_int, n_fp }
-    }
-
-    /// Table I rows: (kernel, base, copift, I′, S″, S′).
-    type Row = (&'static str, (u64, u64), (u64, u64), f64, f64, f64);
-    const TABLE1: &[Row] = &[
-        ("expf", (43, 52), (43, 36), 1.84, 1.83, 2.21),
-        ("logf", (39, 52), (57, 36), 1.63, 1.75, 1.6),
-        ("poly_lcg", (44, 80), (72, 80), 1.9, 1.55, 1.55),
-        ("pi_lcg", (44, 56), (72, 56), 1.78, 1.79, 1.39),
-        ("poly_xoshiro128p", (172, 80), (200, 80), 1.4, 1.47, 1.26),
-        ("pi_xoshiro128p", (172, 56), (200, 56), 1.28, 1.33, 1.14),
-    ];
-
-    #[test]
-    fn estimators_reproduce_table1() {
-        for &(name, (bi, bf), (ci, cf), i_p, s_pp, s_p) in TABLE1 {
-            let base = mix(bi, bf);
-            let cop = mix(ci, cf);
-            assert!(
-                (i_prime(cop) - i_p).abs() < 0.01,
-                "{name}: I' {} vs paper {i_p}",
-                i_prime(cop)
-            );
-            assert!(
-                (s_double_prime(base) - s_pp).abs() < 0.01,
-                "{name}: S'' {} vs paper {s_pp}",
-                s_double_prime(base)
-            );
-            assert!(
-                (s_prime(base, cop) - s_p).abs() < 0.01,
-                "{name}: S' {} vs paper {s_p}",
-                s_prime(base, cop)
-            );
-        }
-    }
-
-    #[test]
-    fn table1_thread_imbalance() {
-        // Paper TI column: expf 0.83, logf 0.75, poly_lcg 0.55, pi_lcg 0.79,
-        // poly_xoshiro 0.47, pi_xoshiro 0.33.
-        let ti: Vec<f64> =
-            TABLE1.iter().map(|&(_, (bi, bf), ..)| thread_imbalance(mix(bi, bf))).collect();
-        let paper = [0.83, 0.75, 0.55, 0.79, 0.47, 0.33];
-        for (t, p) in ti.iter().zip(paper) {
-            assert!((t - p).abs() < 0.01, "{t} vs {p}");
-        }
     }
 
     #[test]

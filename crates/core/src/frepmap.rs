@@ -86,11 +86,11 @@ fn remedy(inst: &Inst) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfg::tests_support::expf_body;
+    use crate::dfg::fig1b_expf_body;
 
     #[test]
     fn expf_fuses_two_fp_phases() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         let part = Partition::of(&dfg).unwrap();
         let plan = FrepPlan::of(&dfg, &part);

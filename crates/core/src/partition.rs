@@ -227,11 +227,11 @@ fn cut_size(edges: &[DepEdge], assignment: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfg::tests_support::expf_body;
+    use crate::dfg::fig1b_expf_body;
 
     #[test]
     fn expf_partitions_into_three_phases() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         let part = Partition::of(&dfg).expect("non-empty");
         // Paper Fig. 1c: FP Phase 0 → Int Phase 1 → FP Phase 2.
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn expf_phase_membership_matches_paper() {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         let part = Partition::of(&dfg).unwrap();
         // 0-based: Phase 0 = {0,1,2,3,14,15,16,18,19,20},

@@ -181,11 +181,11 @@ impl TilingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfg::tests_support::expf_body;
+    use crate::dfg::fig1b_expf_body;
     use crate::dfg::Domain;
 
     fn expf_plan() -> (Dfg, Partition, TilingPlan) {
-        let body = expf_body();
+        let body = fig1b_expf_body();
         let dfg = Dfg::build(&body);
         let part = Partition::of(&dfg).unwrap();
         let plan = TilingPlan::of(&dfg, &part);

@@ -255,7 +255,7 @@ pub fn config_sweep<C: Clone + Into<SystemConfig>>(base: &JobSpec, configs: &[C]
 }
 
 /// The canonical core-scaling axis, shared by the sweep CLI's `scaling`
-/// preset and the bench `scaling` driver so both always produce the same
+/// preset and the `experiments` driver so both always produce the same
 /// batch.
 pub const SCALING_CORES: [usize; 4] = [1, 2, 4, 8];
 
@@ -280,7 +280,7 @@ pub fn scaling_default() -> Vec<JobSpec> {
 
 /// Cluster-scaling batch: every `kernel × variant × cores` combination at a
 /// fixed `(n, block)` operating point, kernel-major then variant-major then
-/// cores in the given order (the layout the `scaling` driver's table
+/// cores in the given order (the layout the EXPERIMENTS.md scaling table
 /// assumes). Each cores value builds its own program — data-parallel
 /// workloads bake the cluster size into their code.
 #[must_use]
@@ -300,7 +300,7 @@ pub fn scaling_grid_default() -> Vec<JobSpec> {
 /// 2-D scaling batch over the full system shape: every `kernel × variant ×
 /// clusters × cores` combination at a fixed `(n, block)` operating point,
 /// kernel-major, then variant, then clusters, with cores innermost (one
-/// table row per clusters value in the drivers). Every grid shape builds
+/// table row per clusters value in EXPERIMENTS.md). Every grid shape builds
 /// its own program — tiled workloads bake both counts into their code.
 #[must_use]
 pub fn scaling_grid(

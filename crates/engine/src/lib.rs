@@ -1,7 +1,7 @@
 //! # snitch-engine — parallel, batched experiment execution
 //!
-//! The COPIFT experiment drivers (`fig2`, `fig3`, `table1`, `experiments`,
-//! `ablations`) all reduce to the same shape of work: expand a matrix of
+//! The COPIFT experiments (the `experiments` driver's sections and the
+//! `sweep` presets) all reduce to the same shape of work: expand a matrix of
 //! `Kernel × Variant × problem size × ClusterConfig` into jobs, simulate
 //! every job, and aggregate structured results. This crate is that execution
 //! layer, factored out once:

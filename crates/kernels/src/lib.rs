@@ -20,7 +20,8 @@
 //! models. [`registry`] is the open catalog the benchmarks drive: the
 //! [`registry::Workload`] trait describes one workload, [`registry::Kernel`]
 //! is the copyable handle grids and caches key on, and
-//! [`registry::register`] adds workloads at runtime.
+//! [`registry::register`] adds workloads at runtime. [`paper`] holds the
+//! paper's published Table I and Figure 2 values the drivers compare against.
 
 #![forbid(unsafe_code)]
 
@@ -31,6 +32,7 @@ pub mod golden;
 pub mod harness;
 pub mod logf;
 pub mod mc;
+pub mod paper;
 pub mod registry;
 pub mod sigmoid;
 pub mod softmax;

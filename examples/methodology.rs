@@ -5,39 +5,12 @@
 //!
 //! Run with: `cargo run --example methodology`
 
-use copift_repro::asm::builder::ProgramBuilder;
-use copift_repro::copift::dfg::CrossDepType;
+use copift_repro::copift::dfg::{fig1b_expf_body, CrossDepType};
 use copift_repro::copift::{analyze, estimate};
-use copift_repro::riscv::reg::{FpReg, IntReg};
 
 fn main() {
     // The paper's Fig. 1b: one iteration of the expf kernel.
-    let mut b = ProgramBuilder::new();
-    let (xp, yp, ki, t, tbl) = (IntReg::A3, IntReg::A4, IntReg::S2, IntReg::S3, IntReg::S4);
-    b.fld(FpReg::FA3, xp, 0);
-    b.fmul_d(FpReg::FA3, FpReg::FA3, FpReg::FS4);
-    b.fadd_d(FpReg::FA1, FpReg::FA3, FpReg::FS5);
-    b.fsd(FpReg::FA1, ki, 0);
-    b.lw(IntReg::A0, ki, 0);
-    b.andi(IntReg::A1, IntReg::A0, 0x1f);
-    b.slli(IntReg::A1, IntReg::A1, 3);
-    b.add(IntReg::A1, tbl, IntReg::A1);
-    b.lw(IntReg::A2, IntReg::A1, 0);
-    b.lw(IntReg::A1, IntReg::A1, 4);
-    b.slli(IntReg::A0, IntReg::A0, 0xf);
-    b.sw(IntReg::A2, t, 0);
-    b.add(IntReg::A0, IntReg::A0, IntReg::A1);
-    b.sw(IntReg::A0, t, 4);
-    b.fsub_d(FpReg::FA2, FpReg::FA1, FpReg::FS5);
-    b.fsub_d(FpReg::FA3, FpReg::FA3, FpReg::FA2);
-    b.fmadd_d(FpReg::FA2, FpReg::FS6, FpReg::FA3, FpReg::FS7);
-    b.fld(FpReg::FA0, t, 0);
-    b.fmadd_d(FpReg::FA4, FpReg::FS8, FpReg::FA3, FpReg::FS9);
-    b.fmul_d(FpReg::FA1, FpReg::FA3, FpReg::FA3);
-    b.fmadd_d(FpReg::FA4, FpReg::FA2, FpReg::FA1, FpReg::FA4);
-    b.fmul_d(FpReg::FA4, FpReg::FA4, FpReg::FA0);
-    b.fsd(FpReg::FA4, yp, 0);
-    let body = b.build().expect("assembles").text().to_vec();
+    let body = fig1b_expf_body();
 
     let a = analyze(&body).expect("straight-line body");
 
